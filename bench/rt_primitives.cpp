@@ -219,20 +219,16 @@ BENCHMARK(BM_ParallelForDispatch<policy::guided>)
     ->Args({2, 1 << 12})
     ->Name("BM_ParallelFor/guided");
 
-// Per-iteration scheduling overhead of a fine-grained span (grain = 1, empty
-// body): lazy range splitting (the range_slot path) vs the eager
-// subtask-per-chunk path it replaced, selected by loop_options::
-// eager_subtasks. Eager pays a pool alloc + deque push/pop + virtual call +
-// two shared_ptr refcount RMWs per chunk; lazy pays an amortized fraction of
-// one reserve CAS. The p=1 pair isolates that per-chunk cost with no steal
-// traffic; the p=4 pair shows the contended picture.
+// Per-iteration scheduling overhead of a fine-grained lazy span (grain = 1,
+// empty body): the owner pays an amortized fraction of one reserve
+// announce per chunk, with no task allocation or refcount traffic. The p=1
+// case isolates that per-chunk cost with no steal traffic; p=4 shows the
+// contended picture.
 void BM_SpanOverhead(benchmark::State& state) {
   rt::runtime rtm(static_cast<std::uint32_t>(state.range(0)));
-  const bool eager = state.range(1) != 0;
   constexpr std::int64_t kN = 1 << 15;
   loop_options opt;
   opt.grain = 1;
-  opt.eager_subtasks = eager;
   for (auto _ : state) {
     parallel_for(rtm, 0, kN, policy::dynamic_ws,
                  [](std::int64_t, std::int64_t) {}, opt);
@@ -240,12 +236,7 @@ void BM_SpanOverhead(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * kN);
 }
-BENCHMARK(BM_SpanOverhead)
-    ->ArgNames({"p", "eager"})
-    ->Args({1, 1})
-    ->Args({1, 0})
-    ->Args({4, 1})
-    ->Args({4, 0});
+BENCHMARK(BM_SpanOverhead)->ArgNames({"p"})->Arg(1)->Arg(4);
 
 // The same fine-grained lazy span, A/B over the push-based handoff knob:
 // handoff:1 is the default donate-on-open path (wide spans ride targeted

@@ -33,7 +33,7 @@ python3 tools/ordlint/ordlint.py --frontend=auto \
 ctest --test-dir build --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the seven
+# sweeps of the shipping protocol cores, then the eight
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
@@ -48,6 +48,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=deque --bound=5"
     "--model=range_slot --bound=5"
     "--model=range_word --bound=5"
+    "--model=range-depth --bound=4"
     "--model=claim-bitmap --bound=-1"
     "--model=parking --bound=-1"
     "--model=parking-backoff --bound=4"
@@ -55,6 +56,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
+    "--model=range-depth-broken-nodrain --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
@@ -67,6 +69,7 @@ else
     "--model=deque --bound=3"
     "--model=range_slot --bound=3"
     "--model=range_word --bound=3"
+    "--model=range-depth --bound=3"
     "--model=claim-bitmap --bound=3"
     "--model=parking --bound=3"
     "--model=parking-backoff --bound=3"
@@ -74,6 +77,7 @@ else
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
+    "--model=range-depth-broken-nodrain --bound=3"
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
@@ -240,7 +244,7 @@ for t in deque_test runtime_test parking_test handoff_test parallel_for_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \
          profiler_test metrics_export_test health_test degrade_test \
-         stall_sweep_test; do
+         stall_sweep_test span_depth_test; do
   echo "== TSAN $t"
   "build-tsan/tests/$t" --gtest_brief=1
 done

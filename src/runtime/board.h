@@ -68,7 +68,7 @@ class board {
   // Publishes a loop; returns the slot to pass to clear(), or -1 when all
   // slots are occupied (deep help-first nesting). An unposted loop is still
   // correct: the posting worker completes it single-handedly and thieves
-  // can reach its divide-and-conquer subtasks through ordinary deque
+  // can still split the spans it publishes through ordinary range
   // steals; only board-mediated arrival is lost. `poster` (a worker id)
   // records who posted, feeding the thieves' victim-affinity heuristic.
   int post(std::shared_ptr<loop_record> rec, std::uint32_t poster = kNoPoster);
@@ -92,9 +92,9 @@ class board {
 
   // The worker id of the most recent post, or kNoPoster once the board
   // drains. A thief probes this worker right after its last successful
-  // victim: the poster's deque holds the open loop's divide-and-conquer
-  // subtasks, so it is the best-informed guess on the whole machine. Racy
-  // and advisory — a stale hint costs one extra probe, nothing more.
+  // victim: the poster's range slots hold the open loop's spans, so it is
+  // the best-informed guess on the whole machine. Racy and advisory — a
+  // stale hint costs one extra probe, nothing more.
   std::uint32_t poster_hint() const noexcept {
     return poster_.load(std::memory_order_relaxed);
   }

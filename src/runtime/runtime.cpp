@@ -225,10 +225,12 @@ bool runtime::work_visible(std::uint32_t self) const noexcept {
     // The caller's own deque is included: a chaos-skipped pop leaves a
     // task queued locally, and sleeping over it would be a lost wakeup.
     if (workers_[i]->deque().size_estimate() > 0) return true;
-    // An open range slot is published work too — under the lazy splitting
-    // path a loop may expose no tasks at all, only a stealable span, and
-    // parking over one would be the same lost wakeup.
-    if (workers_[i]->range().looks_open()) return true;
+    // An open range slot, at any depth, is published work too — under the
+    // lazy splitting path a loop may expose no tasks at all, only a
+    // stealable span, and parking over one would be the same lost wakeup.
+    for (std::uint32_t d = 0; d < worker::kMaxSpanDepth; ++d) {
+      if (workers_[i]->range(d).looks_open()) return true;
+    }
     // A full handoff mailbox is published work: the deposit happens before
     // the donor's targeted wake, and if that wake fails (or the chaos
     // handoff_drop hook swallows it) the payload must still keep every

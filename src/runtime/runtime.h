@@ -215,7 +215,8 @@ class runtime {
   // false (runtime/health.h).
   health_watchdog* watchdog() noexcept { return watchdog_.get(); }
 
-  // True when any deque holds a task or the board has an open loop. Racy
+  // True when the board has an open loop, or any worker has a queued
+  // task, an open range slot at any depth, or a full handoff mailbox. Racy
   // by nature (size estimates); used by the idle path's check-then-park
   // re-check and the spurious-wake accounting, never for correctness of
   // work distribution itself.

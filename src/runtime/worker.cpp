@@ -48,6 +48,18 @@ void worker::advertise_span(std::uint64_t width) noexcept {
   rt_.loads().publish_span(id_, width);
 }
 
+range_slot* worker::open_span(void* ctx, range_span_runner run,
+                              std::int64_t lo, std::int64_t hi,
+                              std::int64_t grain) noexcept {
+  if (depth_ == kMaxSpanDepth) return nullptr;
+  range_slot& slot = ranges_[depth_];
+  if (!slot.open(ctx, run, lo, hi, grain)) return nullptr;
+  ++depth_;
+  return &slot;
+}
+
+bool worker::close_span() noexcept { return ranges_[--depth_].close(); }
+
 bool worker::try_consume_handoff() { return try_consume_handoff_from(id_); }
 
 bool worker::try_consume_handoff_from(std::uint32_t v) {
@@ -125,7 +137,7 @@ bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
   return true;
 }
 
-bool worker::donate_range() {
+bool worker::donate_range(range_slot& slot) {
   std::uint32_t target = 0;
   handoff_slot* box = claim_handoff_target(&target);
   if (box == nullptr) return false;
@@ -133,7 +145,7 @@ bool worker::donate_range() {
   // span with the slot's regular thief protocol — the same CAS transaction
   // an actual steal runs, so the Corollary-6 split bound and exactly-once
   // argument apply unchanged.
-  const range_slot::stolen s = range_.try_steal();
+  const range_slot::stolen s = slot.try_steal();
   if (!s) {
     box->abort_claim();  // span too narrow to halve (or lost a race)
     return false;
@@ -149,9 +161,9 @@ bool worker::donate_range() {
   handoff_item back;
   if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
   // Reclaimed: restore the range to the open span when no thief moved the
-  // frontier meanwhile; otherwise execute it here (the runner thunk runs
-  // it as serial chunks, since this worker's own slot is the open one).
-  if (!range_.try_unsteal(back.lo, back.hi)) {
+  // frontier meanwhile; otherwise execute it here (the runner publishes it
+  // at the next depth, so it stays stealable).
+  if (!slot.try_unsteal(back.lo, back.hi)) {
     back.run(*this, back.ctx, back.lo, back.hi);
   }
   return false;
@@ -237,12 +249,16 @@ bool worker::try_steal_round() {
       telemetry::bump(tel_.counters.faults_injected);
       return false;
     }
-    // The victim's range slot outranks its deque: stealing half of a live
-    // span is one CAS, no allocation, and seeds this worker's own slot
-    // (recursive splitting). The pre-check keeps the common miss at one
-    // relaxed load.
-    range_slot& rs = rt_.worker_at(v).range();
-    if (rs.looks_open()) {
+    // The victim's range slots outrank its deque: stealing half of a live
+    // span is one CAS, no allocation, and seeds this worker's own next
+    // slot (recursive splitting). Shallowest first: an outer span holds
+    // the most work. Open depths form a prefix, so the first closed one
+    // ends the walk — one relaxed load when the victim has no span open
+    // (a racy early stop only costs this probe).
+    worker& victim = rt_.worker_at(v);
+    for (std::uint32_t d = 0; d < kMaxSpanDepth; ++d) {
+      range_slot& rs = victim.range(d);
+      if (!rs.looks_open()) break;
       if (chaos != nullptr &&
           chaos->fire(faultsim::hook::range_steal, id_)) {
         // Forced failed split CAS: the span stays whole for the owner.
@@ -263,7 +279,7 @@ bool worker::try_steal_round() {
       }
     }
     std::uint32_t k = 0;
-    task* t = rt_.worker_at(v).deque().steal_batch(deque_, &k);
+    task* t = victim.deque().steal_batch(deque_, &k);
     if (t == nullptr) {
       // Last resort on this victim: poach its handoff mailbox. Normally
       // the deposit's targeted wake delivers it to the addressee, but a

@@ -4,15 +4,14 @@
 // (2) visits the loop participation board, (3) steals from a random victim.
 #pragma once
 
-#include <cstdint>
-
+#include <array>
 #include <atomic>
+#include <cstdint>
 
 #include "runtime/deque.h"
 #include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/range_slot.h"
-#include "runtime/task_pool.h"
 #include "telemetry/registry.h"
 #include "util/cacheline.h"
 #include "util/rng.h"
@@ -43,11 +42,27 @@ class worker {
   ws_deque& deque() noexcept { return deque_; }
   xoshiro256ss& rng() noexcept { return rng_; }
 
-  // This worker's splittable-range slot (lazy loop splitting): opened by
-  // the owner while it executes a loop span, probed by thieves before
-  // deque steals. See runtime/range_slot.h.
-  range_slot& range() noexcept { return range_; }
-  const range_slot& range() const noexcept { return range_; }
+  // Span nesting cap: one splittable-range slot per depth. A loop nested
+  // inside an open span's chunk body (or a range stolen while one is
+  // open) publishes at the next depth; a span opened past the cap runs as
+  // serial chunks, the only span fallback (counted in alloc_fallbacks).
+  static constexpr std::uint32_t kMaxSpanDepth = 4;
+
+  // The splittable-range slot at nesting depth d (lazy loop splitting;
+  // see runtime/range_slot.h). Open spans always fill a prefix of the
+  // depths; thieves probe a victim's open depths, shallowest first,
+  // before its deque.
+  range_slot& range(std::uint32_t d) noexcept { return ranges_[d]; }
+
+  // Owner thread only. Publishes [lo, hi) in the slot at the next free
+  // depth and returns it; nullptr past kMaxSpanDepth (or for a span the
+  // slot rejects). Every successful open is paired with close_span().
+  range_slot* open_span(void* ctx, range_span_runner run, std::int64_t lo,
+                        std::int64_t hi, std::int64_t grain) noexcept;
+
+  // Owner thread only. Closes the innermost open span (draining its
+  // thieves) and returns true when a steal split it.
+  bool close_span() noexcept;
 
   // This worker's telemetry state: counters, histograms, event ring.
   telemetry::worker_state& tel() noexcept { return tel_; }
@@ -81,17 +96,18 @@ class worker {
   // shutdown path uses it to sweep every mailbox.
   bool try_consume_handoff_from(std::uint32_t v);
 
-  // Donor side. donate_range pre-splits half of this worker's own open
-  // range slot (the exact thief protocol, so the Corollary-6 span bound
-  // is untouched) into a parked peer's mailbox and issues the targeted
-  // wake; called by the sched layer right after it opens a span.
+  // Donor side. donate_range pre-splits half of `slot` — the span this
+  // worker just opened — with the exact thief protocol (so the
+  // Corollary-6 span bound is untouched) into a parked peer's mailbox and
+  // issues the targeted wake; called by the sched layer right after
+  // open_span.
   // donate_surplus_task does the same with one task popped off the local
   // deque (deep-push and batch-steal-surplus sites). Both return true
   // when the payload was delivered (wake sent, or a racing consumer took
   // it) — no further notify needed; false means nothing was handed off
   // (no waiter, mailbox busy, pre-split failed, or the deposit was
   // reclaimed) and the caller must fall back to notify_work().
-  bool donate_range();
+  bool donate_range(range_slot& slot);
   bool donate_surplus_task();
 
   // Owner-side load-board publication (relaxed, advisory): current deque
@@ -105,9 +121,6 @@ class worker {
   void drain_local();
 
   worker_stats stats() const noexcept { return tel_.counters.snapshot(); }
-
-  // Block pool for this worker's task allocations (owner thread only).
-  block_pool& pool() noexcept { return pool_; }
 
   // ---- heartbeat (consumed by runtime/health.h) ---------------------
   // A cacheline-padded epoch word the owning worker bumps at chunk and
@@ -184,10 +197,10 @@ class worker {
   runtime& rt_;
   std::uint32_t id_;
   ws_deque deque_;
-  range_slot range_;
+  std::array<range_slot, kMaxSpanDepth> ranges_;
+  std::uint32_t depth_ = 0;  // open spans (owner thread only)
   xoshiro256ss rng_;
   telemetry::worker_state& tel_;
-  block_pool pool_;
 
   // Victim affinity: the last victim this worker stole from successfully.
   // Work distribution is bursty — a victim with surplus once likely still

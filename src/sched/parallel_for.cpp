@@ -165,7 +165,6 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   auto ctx = std::make_shared<sched::loop_ctx>(begin, end, body, grain,
                                                opt.trace);
-  ctx->eager_split = opt.eager_subtasks;
   ctx->cancel = cancel_flag;
   if (opt.deadline.count() > 0) {
     ctx->deadline_at_ns = telemetry::steady_now_ns() +
@@ -237,11 +236,11 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   if (pol == policy::dynamic_ws) {
     // Vanilla cilk_for, lazily split: the caller publishes the span in its
-    // range slot and consumes it chunk by chunk; idle workers join by
-    // stealing only — the upper half off the slot (or, on the eager
-    // fallback paths, divide-and-conquer subtasks off the deque).
+    // next free range slot (one level deeper when this loop is nested in
+    // another span's chunk body) and consumes it chunk by chunk; idle
+    // workers join by stealing the upper half off that slot, and only so.
     probe.setup_done();
-    sched::range_span::run(me, ctx, begin, end);
+    sched::range_span::run(me, ctx.get(), begin, end);
     probe.work_done();
     me.work_until([&] { return ctx->finished(); });
     ctx->rethrow_if_failed();
@@ -295,7 +294,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     // posting worker must drive it to completion itself. One participate()
     // call is not enough: under chaos a forced peek failure can make it
     // return without doing anything, so loop until the record drains
-    // (try_progress keeps stolen subtasks of hybrid partitions moving).
+    // (try_progress keeps ranges stolen from hybrid partitions moving).
     while (!ctx->finished()) {
       if (!rec->participate(me) && !me.try_progress()) {
         std::this_thread::yield();

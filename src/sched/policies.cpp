@@ -32,8 +32,6 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
   // inside one body stops beating and becomes visible to the watchdog.
   w.beat();
-  // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
-  // inside one body stops beating and becomes visible to the watchdog.
   telemetry::worker_state& tel = w.tel();
   // Chunk timing needs two clock reads, so it only runs in event-tracing
   // mode; the always-on path is pure relaxed counter stores.
@@ -100,81 +98,42 @@ void loop_ctx::rethrow_if_failed() {
   }
 }
 
-void* ws_subtask::operator new(std::size_t bytes) {
-  rt::worker* w = rt::current_worker_or_null();
-  return rt::block_pool::allocate_sized(w != nullptr ? &w->pool() : nullptr,
-                                        bytes);
-}
-
-void ws_subtask::operator delete(void* p) noexcept {
-  rt::block_pool::deallocate(p);
-}
-
-// A stolen eager subtask re-enters the adaptive path: if the thief's slot
-// is free the span turns lazy again (only the oversized/nested/opted-out
-// cases stay eager all the way down).
-void ws_subtask::execute(rt::worker& w) { range_span::run(w, ctx_, lo_, hi_); }
-
-namespace {
-
-// Allocates one eager subtask, or nullptr on pool exhaustion — real
-// (std::bad_alloc out of the block pool's refill) or injected (the
-// faultsim alloc_fail hook). Callers degrade to bounded serial-chunk
-// execution of the range instead of aborting; exactly-once is preserved
-// because the serial chunks retire through run_chunk like any other.
-ws_subtask* try_new_subtask(rt::worker& w,
-                            const std::shared_ptr<loop_ctx>& ctx,
-                            std::int64_t lo, std::int64_t hi) {
-  if (faultsim::injector* c = w.rt().chaos();
-      c != nullptr && c->fire(faultsim::hook::alloc_fail, w.id())) {
-    telemetry::bump(w.tel().counters.faults_injected);
-    telemetry::bump(w.tel().counters.alloc_fallbacks);
-    return nullptr;
-  }
-  try {
-    return new ws_subtask(ctx, lo, hi);
-  } catch (const std::bad_alloc&) {
-    telemetry::bump(w.tel().counters.alloc_fallbacks);
-    return nullptr;
-  }
-}
-
-// The pool-exhaustion fallback: run [lo, hi) serially in grain-sized
-// chunks on this worker.
-void run_serial_chunks(rt::worker& w, loop_ctx* ctx, std::int64_t lo,
-                       std::int64_t hi) {
-  for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
-    ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
-  }
-}
-
-}  // namespace
-
-void ws_subtask::run_span(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                          std::int64_t lo, std::int64_t hi) {
-  while (hi - lo > ctx->grain) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (ws_subtask* t = try_new_subtask(w, ctx, mid, hi)) {
-      w.push(t);
-    } else {
-      run_serial_chunks(w, ctx.get(), mid, hi);
-    }
-    hi = mid;
-  }
-  ctx->run_chunk(w, lo, hi);
-}
-
 // ------------------------------------------------------------ range_span
 
-void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
-  rt::range_slot& slot = w.range();
+void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
+                     std::int64_t hi) {
+  auto* ctx = static_cast<loop_ctx*>(ctx_raw);
+  if (hi - lo <= ctx->grain) {
+    ctx->run_chunk(w, lo, hi);
+    return;
+  }
+  rt::range_slot* slot =
+      w.open_span(ctx, &range_span::run, lo, hi, ctx->grain);
+  if (slot == nullptr) {
+    // Depth cap: this worker already has kMaxSpanDepth spans open (loops
+    // nested in chunk bodies, or ranges stolen while waiting inside one),
+    // or the span is wider than range_slot::kMaxSpan. Run the range as
+    // serial chunks; exactly-once holds either way, since every chunk
+    // retires through run_chunk.
+    telemetry::bump(w.tel().counters.alloc_fallbacks);
+    for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
+      ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
+    }
+    return;
+  }
+  // The span is the only published unit of work — advertise it once. With
+  // a parked peer, the wake itself carries the span's upper half
+  // (donate-on-open, docs/runtime.md "Push-based handoff"); otherwise fall
+  // back to the bare targeted wake and let the woken worker probe.
+  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
+  if (!w.donate_range(*slot)) w.rt().notify_work();
   std::uint64_t refills = 0;
   std::int64_t cur = lo;
   for (;;) {
     // One RMW reserves the next max(grain, remaining/8) iterations; the
     // chunks inside a reservation then run with no shared-word traffic at
     // all (cancellation/deadline/drain still poll per chunk in run_chunk).
-    const std::int64_t res = slot.reserve(cur);
+    const std::int64_t res = slot->reserve(cur);
     if (res <= cur) break;  // thieves consumed everything above cur
     ++refills;
     while (cur < res) {
@@ -187,65 +146,11 @@ void range_span::owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo) {
   // slot is always closed — and drained — before ctx may be rewritten or
   // freed. Note the final reserve() only fails once the stealable region
   // is empty, so no thief can split the span after its last chunk retires.
-  const bool split = slot.close();
+  const bool split = w.close_span();
   w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
   telemetry::bump(tel.counters.range_splits, refills);
   if (!split) telemetry::bump(tel.counters.spans_unsplit);
-}
-
-void range_span::run_stolen(rt::worker& w, void* ctx_raw, std::int64_t lo,
-                            std::int64_t hi) {
-  auto* ctx = static_cast<loop_ctx*>(ctx_raw);
-  if (hi - lo <= ctx->grain) {
-    ctx->run_chunk(w, lo, hi);
-    return;
-  }
-  // Recursive splitting: the stolen range seeds the thief's own slot. A
-  // stolen range always fits kMaxSpan (it was carved from a fitting span).
-  if (!w.range().open(ctx, &range_span::run_stolen, lo, hi, ctx->grain)) {
-    // The thief's slot is busy: this steal ran inside an open span (e.g. a
-    // task_group wait nested in a chunk body). Run the range serially,
-    // chunk by chunk — rare, and exactly-once is preserved either way.
-    for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
-      ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
-    }
-    return;
-  }
-  // The new span's upper half is stealable: advertise it, and when a peer
-  // is parked, push half of it straight into that peer's handoff mailbox
-  // so the wake carries work (donate-on-open, docs/runtime.md).
-  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
-  if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, ctx, lo);
-}
-
-void range_span::run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                     std::int64_t lo, std::int64_t hi) {
-  if (lo >= hi) return;
-  if (ctx->eager_split) {
-    ws_subtask::run_span(w, ctx, lo, hi);
-    return;
-  }
-  if (hi - lo <= ctx->grain) {
-    ctx->run_chunk(w, lo, hi);
-    return;
-  }
-  if (!w.range().open(ctx.get(), &range_span::run_stolen, lo, hi,
-                      ctx->grain)) {
-    // Nested parallel loop inside a chunk body: the outer span still owns
-    // this worker's slot, so the inner loop splits eagerly.
-    ws_subtask::run_span(w, ctx, lo, hi);
-    return;
-  }
-  // Unlike the eager path (where every push wakes a thief), the span is
-  // the only published unit of work — advertise it once. With a parked
-  // peer, the wake itself carries the span's upper half (donate-on-open,
-  // docs/runtime.md "Push-based handoff"); otherwise fall back to the
-  // bare targeted wake and let the woken worker probe.
-  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
-  if (!w.donate_range()) w.rt().notify_work();
-  owner_loop(w, ctx.get(), lo);
 }
 
 // ---------------------------------------------------------------- static
@@ -382,11 +287,12 @@ void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   // partition, so stragglers inside a partition are balanced by
   // stealing — lazily split via the worker's range slot (thieves CAS off
   // the upper half; nothing is allocated when no thief arrives)...
-  range_span::run(w, ctx_, rg.begin, rg.end);
+  range_span::run(w, ctx_.get(), rg.begin, rg.end);
   // ...while the claiming worker finishes its local share depth-first
-  // before attempting the next claim, as continuation stealing would.
-  // (The drain only matters on the eager fallback paths; the lazy span
-  // pushes no subtasks.)
+  // before attempting the next claim, as continuation stealing would. The
+  // span itself pushes no tasks; the drain runs whatever the partition's
+  // bodies left on the local deque (task_group spawns, or surplus a
+  // nested loop's wait batch-stole) before the next claim.
   w.drain_local();
   if (timed) {
     tel.emit({t0, tel.now() - t0, static_cast<std::int64_t>(r), 0,

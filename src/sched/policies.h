@@ -1,7 +1,8 @@
 // Internal policy implementations behind parallel_for.
 //
 // Each work-sharing policy is a loop_record posted on the runtime's board;
-// dynamic_ws is pure deque work. Exposed in a header (rather than an
+// dynamic_ws posts nothing — its span lives in the caller's range slot and
+// peers join only by stealing from it. Exposed in a header (rather than an
 // anonymous namespace) so the tests can exercise records directly.
 #pragma once
 
@@ -14,14 +15,13 @@
 
 #include "core/partition_set.h"
 #include "runtime/board.h"
-#include "runtime/task.h"
 #include "sched/loop.h"
 #include "util/cacheline.h"
 
 namespace hls::sched {
 
 // State shared by every chunk of one parallel loop. Heap-allocated
-// (shared_ptr) because stolen subtasks and board visitors may hold
+// (shared_ptr) because board records and their visitors may hold
 // references until the last chunk retires.
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
@@ -45,11 +45,6 @@ struct loop_ctx {
   std::atomic<bool> failed{false};
   std::exception_ptr first_error;
   std::mutex error_mu;
-
-  // Escape hatch (loop_options::eager_subtasks): route spans through the
-  // eager ws_subtask divide-and-conquer path instead of the lazy range
-  // slot. Set once by parallel_for before the loop is published.
-  bool eager_split = false;
 
   // Cancellation/deadline state, set by parallel_for before the loop is
   // published. `cancel` borrows loop_options::cancel's flag (the options
@@ -98,59 +93,23 @@ struct loop_ctx {
   }
 };
 
-// Divide-and-conquer subtask used by dynamic_ws and inside hybrid
-// partitions: splits in half, pushing upper halves for thieves, until the
-// range reaches the grain, then runs the body.
-class ws_subtask final : public rt::task {
- public:
-  ws_subtask(std::shared_ptr<loop_ctx> ctx, std::int64_t lo, std::int64_t hi)
-      : ctx_(std::move(ctx)), lo_(lo), hi_(hi) {}
-
-  // Subtasks are allocated once per exposed chunk on the scheduling hot
-  // path: use the executing worker's block pool. Frees may happen on the
-  // thief's thread; block_pool routes them back to the owner.
-  static void* operator new(std::size_t bytes);
-  static void operator delete(void* p) noexcept;
-
-  void execute(rt::worker& w) override;
-
-  // The splitting loop itself, callable without a heap-allocated task (the
-  // root call and hybrid partition execution run it in place).
-  static void run_span(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                       std::int64_t lo, std::int64_t hi);
-
- private:
-  std::shared_ptr<loop_ctx> ctx_;
-  std::int64_t lo_;
-  std::int64_t hi_;
-};
-
-// Lazy steal-driven range splitting: the default span execution path for
-// dynamic_ws and hybrid partitions. The owner publishes the span in its
-// worker's range_slot (runtime/range_slot.h) and consumes it in
+// Lazy steal-driven range splitting: the one span execution path for
+// dynamic_ws, hybrid partitions, loops nested inside either, and stolen
+// ranges. The owner publishes the span in its worker's range slot at the
+// next free nesting depth (rt::worker::open_span) and consumes it in
 // grain-sized chunks with zero allocations and zero shared_ptr traffic;
 // thieves split off the upper half via the slot's CAS and seed their own
-// slots recursively, so the divide-and-conquer span bound is preserved
-// while the no-steal fast path costs two shared stores per span total.
-// The slot's two-word protocol carries full 64-bit spans, so even
-// billion-iteration loops stay on this zero-alloc path; the only
-// fallbacks to ws_subtask are an explicit opt-out (eager_split) and a
-// busy slot (a nested loop inside a chunk body).
+// next slot recursively, so the divide-and-conquer span bound is
+// preserved while the no-steal fast path costs two shared stores per span
+// total. Past rt::worker::kMaxSpanDepth open spans, a span runs as serial
+// chunks — the only fallback.
 class range_span {
  public:
-  static void run(rt::worker& w, const std::shared_ptr<loop_ctx>& ctx,
-                  std::int64_t lo, std::int64_t hi);
-
- private:
-  // range_slot::span_runner thunk: executes a stolen range on the thief.
-  // No shared_ptr is taken: the stolen iterations are unretired, so the
+  // Runs [lo, hi) of the loop_ctx `ctx` on w. Also the range_slot runner
+  // thunk that executes a stolen range on the thief, so ctx is untyped and
+  // no shared_ptr is taken: the span's iterations are unretired, so the
   // loop cannot join — and ctx cannot die — before run_chunk retires them.
-  static void run_stolen(rt::worker& w, void* ctx, std::int64_t lo,
-                         std::int64_t hi);
-
-  // Owner reserve/execute loop over an already-open slot, plus close and
-  // counter rollup.
-  static void owner_loop(rt::worker& w, loop_ctx* ctx, std::int64_t lo);
+  static void run(rt::worker& w, void* ctx, std::int64_t lo, std::int64_t hi);
 };
 
 // Strict static partitioning: block k is executed serially by worker k and

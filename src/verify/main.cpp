@@ -50,6 +50,13 @@ const model_spec kSpecs[] = {
     {"range_word-broken-norecheck",
      "range_word with the thief's post-CAS split re-read skipped (overlap)",
      true, 3},
+    {"range-depth",
+     "per-depth range slots: inner open/close/reopen under an outer span, "
+     "thief probing both depths",
+     false, 3},
+    {"range-depth-broken-nodrain",
+     "range-depth with close() not draining readers (inner reopen race)",
+     true, 3},
     {"claim-bitmap",
      "bitmap claim flags + word-at-a-time leftover sweep, exactly-once",
      false, 3},
@@ -92,6 +99,9 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "range_slot-broken-nodrain")
     return hls::verify::make_range_slot_model(true);
   if (name == "range_word") return hls::verify::make_range_word_model(false);
+  if (name == "range-depth") return hls::verify::make_range_depth_model(false);
+  if (name == "range-depth-broken-nodrain")
+    return hls::verify::make_range_depth_model(true);
   if (name == "range_word-broken-norecheck")
     return hls::verify::make_range_word_model(true);
   if (name == "claim-bitmap")

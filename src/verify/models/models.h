@@ -23,6 +23,9 @@
 //                close-then-reopen of the same slot; the close() drain is
 //                what makes the reopen safe, and the vector-clock checker
 //                is what catches its absence.
+//   range-depth — the same exactly-once and no-reopen-under-a-reader
+//                properties with two nesting depths open at once and a
+//                thief probing both (rt::worker's per-depth slots).
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
 //                park protocol always terminates; skipping the re-check
 //                deadlocks (detected, with the interleaving that lost the
@@ -59,6 +62,14 @@ std::unique_ptr<model> make_range_slot_model(bool broken_no_drain);
 // steals without the Dekker split re-read (caught as a double-executed
 // iteration).
 std::unique_ptr<model> make_range_word_model(bool broken_no_recheck);
+
+// Per-depth range slots: an owner opens, consumes and closes (then
+// reopens) an inner span at depth 1 while its outer span at depth 0 stays
+// open, against a thief probing both depths shallowest first.
+// broken_no_drain selects range_slot_policy_no_drain, so the inner
+// slot's reopen races a thief still reading its fields (caught as a
+// vector-clock data race).
+std::unique_ptr<model> make_range_depth_model(bool broken_no_drain);
 
 // Batched claim-flag bitmap: run_claim_loop over bit-packed fetch_or
 // flags (one word, mirroring partition_set's R >= threshold storage) with

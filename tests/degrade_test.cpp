@@ -1,16 +1,14 @@
 // Graceful-degradation tests: worker-spawn failure shrinks the team
-// instead of aborting construction, pool exhaustion falls back to bounded
-// serial-chunk execution, and the parallel_for admission gate serializes
-// submissions past the in-flight limit — all while every loop stays
-// exactly-once with a correct loop_result.
+// instead of aborting construction, and the parallel_for admission gate
+// serializes submissions past the in-flight limit — all while every loop
+// stays exactly-once with a correct loop_result. (The span depth-cap
+// fallback is covered in span_depth_test.cpp.)
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "faultsim/faultsim.h"
 #include "sched/loop.h"
 #include "telemetry/profiler.h"
 
@@ -56,51 +54,6 @@ TEST(Degrade, SpawnFailureShrinksTeamAndLoopsStillComplete) {
                                   policy::dynamic_shared, policy::guided,
                                   policy::dynamic_ws,    policy::hybrid};
   for (policy pol : kPolicies) assert_exactly_once(rt, pol, 256);
-}
-
-// --------------------------------------------- pool-exhaustion fallback
-
-TEST(Degrade, AllocFailureFallsBackToSerialChunks) {
-  rt::runtime rt(4);
-  auto cfg = faultsim::config::parse("alloc_fail=1");
-  ASSERT_TRUE(cfg.has_value());
-  rt.set_chaos(std::make_shared<faultsim::injector>(*cfg, 4));
-
-  // Eager subtasks force every span through the divide-and-conquer
-  // allocation path, so alloc_fail=1 exercises the serial-chunk fallback
-  // on every bisection.
-  loop_options opt;
-  opt.eager_subtasks = true;
-  assert_exactly_once(rt, policy::dynamic_ws, 512, opt);
-  assert_exactly_once(rt, policy::hybrid, 512, opt);
-
-  EXPECT_GT(rt.tel().totals().alloc_fallbacks, 0u);
-  rt.set_chaos(nullptr);
-}
-
-TEST(Degrade, AllocFallbackPreservesCancelStatus) {
-  rt::runtime rt(2);
-  auto cfg = faultsim::config::parse("alloc_fail=1");
-  ASSERT_TRUE(cfg.has_value());
-  rt.set_chaos(std::make_shared<faultsim::injector>(*cfg, 2));
-
-  cancel_source src;
-  loop_options opt;
-  opt.eager_subtasks = true;
-  opt.cancel = src.token();
-  std::atomic<int> seen{0};
-  const loop_result res = for_each(rt, 0, 4096, policy::dynamic_ws,
-                                   [&](std::int64_t) {
-                                     if (seen.fetch_add(1) == 100) {
-                                       src.request_cancel();
-                                     }
-                                   },
-                                   opt);
-  // The serial-chunk fallback still polls the stop word, so cancellation
-  // surfaces with the skipped count intact.
-  EXPECT_EQ(res.status, loop_status::cancelled);
-  EXPECT_GT(res.skipped, 0);
-  rt.set_chaos(nullptr);
 }
 
 // ------------------------------------------------------ admission gate

@@ -3,7 +3,7 @@
 // close/drain), raw concurrent exactly-once stress (owner advancing at lo
 // vs thief CAS at split — the TSAN target), including a >2^31-iteration
 // span, the scheduler integration (dynamic_ws and hybrid spans, recursive
-// thief splitting, the eager escape hatch and the nested-loop fallback),
+// thief splitting, a loop nested inside a span),
 // and a 200-seed chaos sweep asserting no iteration is lost or duplicated
 // with the range-steal CAS under fault injection.
 #include <gtest/gtest.h>
@@ -351,46 +351,44 @@ TEST(RangeSpan, SingleWorkerAllocatesNoTasksAndStaysUnsplit) {
   EXPECT_EQ(delta.spans_unsplit, static_cast<std::uint64_t>(kLoops));
 }
 
-TEST(RangeSpan, EagerSubtasksOptOutRestoresTaskPath) {
-  rt::runtime rt(2);
-  loop_options opt;
-  opt.grain = 8;
-  opt.eager_subtasks = true;
-  const telemetry::counter_set before = rt.tel().totals();
-  for (int rep = 0; rep < 5; ++rep) {
-    assert_exactly_once(rt, policy::dynamic_ws, 1 << 12, opt);
-    assert_exactly_once(rt, policy::hybrid, 1 << 12, opt);
-  }
-  const telemetry::counter_set delta = rt.tel().totals() - before;
-  EXPECT_GT(delta.tasks_run, 0u);       // subtasks were heap-allocated again
-  EXPECT_EQ(delta.range_splits, 0u);    // and no span was ever published
-  EXPECT_EQ(delta.spans_unsplit, 0u);
-}
-
 TEST(RangeSpan, NestedLoopInsideSpanFallsBackAndCompletes) {
   rt::runtime rt(4);
   constexpr std::int64_t kOuter = 64;
   constexpr std::int64_t kInner = 256;
   loop_options outer_opt;
   outer_opt.grain = 1;
+  loop_options inner_opt;
+  inner_opt.grain = 8;
   std::vector<std::atomic<int>> hits(
       static_cast<std::size_t>(kOuter * kInner));
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  const telemetry::counter_set before = rt.tel().totals();
   const loop_result res = for_each(
       rt, 0, kOuter, policy::dynamic_ws,
       [&](std::int64_t o) {
-        // The worker's slot is owned by the outer span here, so the inner
-        // loop must take the eager fallback (and still complete).
-        for_each(rt, 0, kInner, policy::dynamic_ws, [&](std::int64_t i) {
-          hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(
-              1, std::memory_order_relaxed);
-        });
+        // The outer span owns this worker's depth-0 slot (or a deeper one,
+        // on a thief), so the inner loop publishes its span one depth
+        // further down and stays on the lazy path.
+        for_each(
+            rt, 0, kInner, policy::dynamic_ws,
+            [&](std::int64_t i) {
+              hits[static_cast<std::size_t>(o * kInner + i)].fetch_add(
+                  1, std::memory_order_relaxed);
+            },
+            inner_opt);
       },
       outer_opt);
   ASSERT_TRUE(res.ok());
   for (std::int64_t i = 0; i < kOuter * kInner; ++i) {
     ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << i;
   }
+  const telemetry::counter_set delta = rt.tel().totals() - before;
+  // Lazy all the way down: no task was allocated, and every inner loop
+  // either published a span (at least one reserve refill) or — only past
+  // the depth cap — ran as serial chunks.
+  EXPECT_EQ(delta.tasks_run, 0u);
+  EXPECT_GE(delta.range_splits + delta.alloc_fallbacks,
+            static_cast<std::uint64_t>(kOuter));
 }
 
 TEST(RangeSpan, ExplicitGrainBoundsTraceChunks) {

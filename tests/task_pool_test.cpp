@@ -8,8 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/runtime.h"
-#include "sched/loop.h"
 
 namespace hls::rt {
 namespace {
@@ -109,30 +107,6 @@ TEST(BlockPool, ConcurrentProducersReturningToOneOwner) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(pool.free_count(), pool.slab_count() * 512);
-}
-
-TEST(BlockPool, LoopSubtasksReuseBlocksAcrossLoops) {
-  // End-to-end: after a first loop warms the pools, later identical loops
-  // should not grow any worker's slab count.
-  rt::runtime rt(4);
-  auto run = [&] {
-    for_each(rt, 0, 1 << 14, policy::dynamic_ws, [](std::int64_t) {});
-  };
-  run();
-  std::size_t slabs = 0;
-  for (std::uint32_t w = 0; w < rt.num_workers(); ++w) {
-    auto& pool = rt.worker_at(w).pool();
-    pool.owner_role().hold();  // workers are quiescent between loops
-    slabs += pool.slab_count();
-  }
-  for (int rep = 0; rep < 20; ++rep) run();
-  std::size_t slabs_after = 0;
-  for (std::uint32_t w = 0; w < rt.num_workers(); ++w) {
-    auto& pool = rt.worker_at(w).pool();
-    pool.owner_role().hold();  // workers are quiescent between loops
-    slabs_after += pool.slab_count();
-  }
-  EXPECT_LE(slabs_after, slabs + 1);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
 // protocol cores (claim + bitmap claim flags, ws_deque, range_slot's
-// two-word 64-bit layout, parking) against the exact templates the
+// two-word 64-bit layout and its per-depth nesting, parking) against the exact templates the
 // runtime instantiates, plus the negative half of the argument — the
 // deliberately-broken protocol variants that the harness must catch, each
 // with a replayable failing schedule. A harness that cannot detect a
@@ -64,6 +64,18 @@ TEST(VerifyRangeWord, SplitHiHandshakeExactlyOnceExhaustiveBound3) {
   const auto res = explore(*m, exhaustive(3));
   EXPECT_TRUE(res.ok) << res.failure;
   EXPECT_TRUE(res.exhausted);
+}
+
+TEST(VerifyRangeDepth, NestedSpansExactlyOnceExhaustiveBound3) {
+  // Per-depth range slots: an inner span opened, closed and reopened at
+  // depth 1 under a live outer span at depth 0, with a thief probing both
+  // depths — exactly-once across all three spans, and the reopen never
+  // races a thief still reading the inner slot's fields.
+  auto m = make_range_depth_model(false);
+  const auto res = explore(*m, exhaustive(3));
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_GT(res.executions, 1000u);
 }
 
 TEST(VerifyClaimBitmap, BatchedSweepExactlyOnceExhaustiveUnbounded) {
@@ -143,6 +155,14 @@ TEST(VerifyBroken, RangeSlotCloseWithoutDrainIsCaught) {
   // flagged by the vector-clock checker as a data race.
   expect_caught_and_replayable(make_range_slot_model(true),
                                make_range_slot_model(true), 3);
+}
+
+TEST(VerifyBroken, RangeDepthReopenWithoutDrainIsCaught) {
+  // With two depths open, the inner slot's reopen is the hazard: without
+  // the close() drain a thief that claimed from the first inner span can
+  // still be reading its fields while the second open rewrites them.
+  expect_caught_and_replayable(make_range_depth_model(true),
+                               make_range_depth_model(true), 3);
 }
 
 TEST(VerifyBroken, RangeWordStealWithoutRecheckIsCaught) {
