@@ -33,12 +33,12 @@ python3 tools/ordlint/ordlint.py --frontend=auto \
 ctest --test-dir build --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the eight
+# sweeps of the shipping protocol cores, then the nine
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
 # the CLI path and archives the counters. HLS_VERIFY_DEEP=1 raises depths
-# to the full-depth sweep (~30 s instead of ~2 s).
+# to the full-depth sweep (~40 s instead of ~2 s).
 echo "== verify (deterministic model checking)"
 if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
   verify_runs=(
@@ -53,6 +53,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking --bound=-1"
     "--model=parking-backoff --bound=4"
     "--model=handoff --bound=3"
+    "--model=loop-retire --bound=-1"
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
@@ -61,6 +62,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
     "--model=handoff-broken-dropped --bound=3"
+    "--model=loop-retire-broken-early --bound=3"
   )
 else
   verify_runs=(
@@ -74,6 +76,7 @@ else
     "--model=parking --bound=3"
     "--model=parking-backoff --bound=3"
     "--model=handoff --bound=2"
+    "--model=loop-retire --bound=3"
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
@@ -82,6 +85,7 @@ else
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
     "--model=handoff-broken-dropped --bound=3"
+    "--model=loop-retire-broken-early --bound=3"
   )
 fi
 : > build/VERIFY_summary.txt
@@ -244,7 +248,7 @@ for t in deque_test runtime_test parking_test handoff_test parallel_for_test \
          telemetry_test telemetry_runtime_test faultsim_test \
          hardening_test chaos_sched_test range_slot_test \
          profiler_test metrics_export_test health_test degrade_test \
-         stall_sweep_test span_depth_test; do
+         stall_sweep_test span_depth_test retire_batch_test; do
   echo "== TSAN $t"
   "build-tsan/tests/$t" --gtest_brief=1
 done

@@ -188,13 +188,11 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   };
 
   if (pol == policy::serial) {
-    // Serial with a cancel token or deadline: chunked through run_chunk so
+    // Serial with a cancel token or deadline: chunked through run_range so
     // stop polling, skip accounting, and counters behave like the parallel
     // policies.
     probe.setup_done();
-    for (std::int64_t lo = begin; lo < end; lo += grain) {
-      ctx->run_chunk(me, lo, std::min(end, lo + grain));
-    }
+    ctx->run_range(me, begin, end);
     probe.work_done();
     ctx->rethrow_if_failed();
     const loop_result res = result_of();
@@ -206,7 +204,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
 
   // Admission gate (runtime_options::max_inflight_loops): past the
   // in-flight limit the runtime sheds load by serializing the newcomer on
-  // its posting worker — bounded chunks through run_chunk, so cancel /
+  // its posting worker — bounded chunks through run_range, so cancel /
   // deadline / skip accounting behave exactly like the parallel paths —
   // instead of piling more records onto the board. RAII so every exit
   // (including body rethrow) releases the admitted slot.
@@ -222,9 +220,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   if (!gate.admitted) {
     telemetry::bump(me.tel().counters.gated_loops);
     probe.setup_done();
-    for (std::int64_t lo = begin; lo < end; lo += grain) {
-      ctx->run_chunk(me, lo, std::min(end, lo + grain));
-    }
+    ctx->run_range(me, begin, end);
     probe.work_done();
     ctx->rethrow_if_failed();
     const loop_result res = result_of();
@@ -287,8 +283,10 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
   if (slot < 0 && pol == policy::static_part) {
     // Board overflow: strict static needs every worker to arrive, which
     // cannot be guaranteed without a slot. Degrade to executing the
-    // whole range on the posting worker (correctness over placement).
+    // whole range on the posting worker (correctness over placement), as
+    // one chunk and one retire.
     ctx->run_chunk(me, begin, end);
+    ctx->retire(me, n);
   } else if (slot < 0) {
     // No slot means no other worker can discover this record, so the
     // posting worker must drive it to completion itself. One participate()

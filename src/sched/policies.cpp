@@ -43,8 +43,9 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   // only on the rare armed path (or reuses t0 when tracing already read it).
   if (tel.wake_pending()) tel.note_chunk_started(timed ? t0 : tel.now());
   // Drain mode: once a body has thrown or the loop was cancelled / timed
-  // out, remaining chunks skip their bodies but still retire, so the loop
-  // terminates and claim accounting stays consistent.
+  // out, remaining chunks skip their bodies; their caller still retires
+  // them with the rest of its unit, so the loop terminates and claim
+  // accounting stays consistent.
   const bool skip =
       failed.load(std::memory_order_acquire) || stop_requested(w);
   if (!skip) {
@@ -80,8 +81,15 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
     tel.chunk_ns_hist.record(dt);
     tel.emit({t0, dt, lo, hi, telemetry::event_kind::chunk_span});
   }
-  // Retire the iterations even on failure/skip so the loop terminates.
-  retire(w, hi - lo);
+}
+
+void loop_ctx::run_range(rt::worker& w, std::int64_t lo, std::int64_t hi) {
+  for (std::int64_t cur = lo; cur < hi; cur += grain) {
+    run_chunk(w, cur, std::min(cur + grain, hi));
+  }
+  // One retire for the whole range, after its last body returned — also
+  // when every chunk was skipped, so the loop still terminates.
+  if (lo < hi) retire(w, hi - lo);
 }
 
 void loop_ctx::retire(rt::worker& w, std::int64_t n) noexcept {
@@ -104,7 +112,7 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
                      std::int64_t hi) {
   auto* ctx = static_cast<loop_ctx*>(ctx_raw);
   if (hi - lo <= ctx->grain) {
-    ctx->run_chunk(w, lo, hi);
+    ctx->run_range(w, lo, hi);
     return;
   }
   rt::range_slot* slot =
@@ -113,12 +121,9 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
     // Depth cap: this worker already has kMaxSpanDepth spans open (loops
     // nested in chunk bodies, or ranges stolen while waiting inside one),
     // or the span is wider than range_slot::kMaxSpan. Run the range as
-    // serial chunks; exactly-once holds either way, since every chunk
-    // retires through run_chunk.
+    // serial chunks and retire it once; exactly-once holds either way.
     telemetry::bump(w.tel().counters.alloc_fallbacks);
-    for (std::int64_t cur = lo; cur < hi; cur += ctx->grain) {
-      ctx->run_chunk(w, cur, std::min(cur + ctx->grain, hi));
-    }
+    ctx->run_range(w, lo, hi);
     return;
   }
   // The span is the only published unit of work — advertise it once. With
@@ -131,21 +136,22 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
   std::int64_t cur = lo;
   for (;;) {
     // One RMW reserves the next max(grain, remaining/8) iterations; the
-    // chunks inside a reservation then run with no shared-word traffic at
-    // all (cancellation/deadline/drain still poll per chunk in run_chunk).
+    // chunks inside a reservation then run with no shared-word traffic,
+    // and one retire accounts for all of them after the last body returns
+    // (cancellation/deadline/drain still poll per chunk in run_chunk).
     const std::int64_t res = slot->reserve(cur);
     if (res <= cur) break;  // thieves consumed everything above cur
     ++refills;
-    while (cur < res) {
-      const std::int64_t end = std::min(cur + ctx->grain, res);
-      ctx->run_chunk(w, cur, end);
-      cur = end;
-    }
+    // After this retire ctx may be freed (it may have been the loop's
+    // last), so the loop goes back to the slot without touching ctx.
+    ctx->run_range(w, cur, res);
+    cur = res;
   }
   // Nothing above can throw (run_chunk captures body exceptions), so the
   // slot is always closed — and drained — before ctx may be rewritten or
   // freed. Note the final reserve() only fails once the stealable region
-  // is empty, so no thief can split the span after its last chunk retires.
+  // is empty, so no thief can split the span after its last reservation
+  // retires.
   const bool split = w.close_span();
   w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
@@ -182,7 +188,9 @@ bool static_record::participate(rt::worker& w) {
   // huge_n_test.cpp).
   const std::int64_t hi =
       lo + base + (static_cast<std::int64_t>(b) < rem ? 1 : 0);
+  // A static block is one chunk and one retire.
   ctx_->run_chunk(w, lo, hi);
+  if (lo < hi) ctx_->retire(w, hi - lo);
   return true;
 }
 
@@ -194,36 +202,48 @@ shared_queue_record::shared_queue_record(std::shared_ptr<loop_ctx> ctx,
       chunk_(chunk < 1 ? 1 : chunk),
       next_(ctx_->begin) {}
 
+namespace {
+
+// Prompt stop for the central queues: on cancellation/deadline/failure,
+// swallow the whole tail [next_, end) in one exchange instead of skipping
+// chunk by chunk. The tail is disjoint from every chunk claimed before the
+// exchange, and later claimants observe next_ >= end and leave, so each
+// iteration still retires exactly once. Returns the swallowed count, for
+// the caller's one retire.
+std::int64_t drain_tail(loop_ctx& ctx, std::atomic<std::int64_t>& next,
+                        rt::worker& w) {
+  const std::int64_t lo = next.exchange(ctx.end, std::memory_order_acq_rel);
+  if (lo >= ctx.end) return 0;
+  ctx.skipped.fetch_add(ctx.end - lo, std::memory_order_relaxed);
+  telemetry::bump(w.tel().counters.cancelled_chunks);
+  return ctx.end - lo;
+}
+
+}  // namespace
+
 bool shared_queue_record::participate(rt::worker& w) {
-  bool worked = false;
   // Stay on the queue until it drains, like an OpenMP thread inside a
   // `schedule(dynamic)` region. The fetch_add result alone decides when
   // to leave: the old loop condition re-read next_ with a relaxed load,
   // a racy pre-check that could only disagree with the claiming fetch_add
   // below and added nothing the claim does not already validate.
+  bool worked = false;
+  std::int64_t claimed = 0;  // retired once, on the way out
   for (;;) {
-    // Prompt stop: on cancellation/deadline/failure, swallow the whole
-    // tail in one exchange instead of skipping chunk by chunk. The tail
-    // [lo, end) is disjoint from every chunk claimed before the exchange,
-    // and later claimants observe lo >= end and leave, so each iteration
-    // still retires exactly once.
     if (ctx_->failed.load(std::memory_order_acquire) ||
         ctx_->stop_requested(w)) {
-      const std::int64_t lo =
-          next_.exchange(ctx_->end, std::memory_order_acq_rel);
-      if (lo < ctx_->end) {
-        ctx_->skipped.fetch_add(ctx_->end - lo, std::memory_order_relaxed);
-        telemetry::bump(w.tel().counters.cancelled_chunks);
-        ctx_->retire(w, ctx_->end - lo);
-      }
-      return worked;
+      claimed += drain_tail(*ctx_, next_, w);
+      break;
     }
     const std::int64_t lo = next_.fetch_add(chunk_, std::memory_order_acq_rel);
-    if (lo >= ctx_->end) return worked;
+    if (lo >= ctx_->end) break;
     const std::int64_t hi = std::min(lo + chunk_, ctx_->end);
     ctx_->run_chunk(w, lo, hi);
+    claimed += hi - lo;
     worked = true;
   }
+  if (claimed > 0) ctx_->retire(w, claimed);
+  return worked;
 }
 
 // ----------------------------------------------------------------- guided
@@ -236,33 +256,35 @@ guided_record::guided_record(std::shared_ptr<loop_ctx> ctx,
       next_(ctx_->begin) {}
 
 bool guided_record::participate(rt::worker& w) {
+  // Same one-retire-per-call accounting and prompt-stop drain as
+  // shared_queue_record.
   bool worked = false;
+  std::int64_t claimed = 0;
   for (;;) {
-    // Same prompt-stop drain as shared_queue_record.
     if (ctx_->failed.load(std::memory_order_acquire) ||
         ctx_->stop_requested(w)) {
-      const std::int64_t lo =
-          next_.exchange(ctx_->end, std::memory_order_acq_rel);
-      if (lo < ctx_->end) {
-        ctx_->skipped.fetch_add(ctx_->end - lo, std::memory_order_relaxed);
-        telemetry::bump(w.tel().counters.cancelled_chunks);
-        ctx_->retire(w, ctx_->end - lo);
-      }
-      return worked;
+      claimed += drain_tail(*ctx_, next_, w);
+      break;
     }
     std::int64_t lo = next_.load(std::memory_order_acquire);
-    std::int64_t hi;
-    do {
-      if (lo >= ctx_->end) return worked;
+    std::int64_t hi = lo;
+    while (lo < ctx_->end) {
       const std::int64_t rem = ctx_->end - lo;
       const std::int64_t sz =
           std::max(min_chunk_, rem / (2 * static_cast<std::int64_t>(p_)));
       hi = std::min(lo + sz, ctx_->end);
-    } while (!next_.compare_exchange_weak(lo, hi, std::memory_order_acq_rel,
-                                          std::memory_order_acquire));
+      if (next_.compare_exchange_weak(lo, hi, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+        break;
+      }
+    }
+    if (lo >= ctx_->end) break;
     ctx_->run_chunk(w, lo, hi);
+    claimed += hi - lo;
     worked = true;
   }
+  if (claimed > 0) ctx_->retire(w, claimed);
+  return worked;
 }
 
 // ----------------------------------------------------------------- hybrid

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -22,7 +23,13 @@ namespace hls::sched {
 
 // State shared by every chunk of one parallel loop. Heap-allocated
 // (shared_ptr) because board records and their visitors may hold
-// references until the last chunk retires.
+// references until the last iteration retires.
+//
+// Completion is accounted per reservation, not per chunk: whoever claims
+// a unit of work (a range_slot reservation, a static block, one
+// participate() call's queue chunks) runs its chunks through run_chunk
+// and then retires the whole unit with a single retire(). The shared
+// `remaining` line therefore sees one RMW per claim, not one per chunk.
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
   enum : std::uint8_t { kRunning = 0, kCancelled = 1, kDeadline = 2 };
@@ -37,22 +44,28 @@ struct loop_ctx {
   const chunk_body body;
   const std::int64_t grain;
   trace::loop_trace* const trace;
-  alignas(kCacheLine) std::atomic<std::int64_t> remaining;
 
-  // First exception thrown by any chunk body. Later chunks are skipped
-  // (their iterations still retire, so the loop completes and the posting
-  // worker can rethrow).
+  // Read-mostly stop state, polled by every chunk and written at most once
+  // per loop. It sits with the const fields above, off the line every
+  // retire writes.
+  //
+  // `failed` latches on the first exception thrown by any chunk body.
+  // Later chunks are skipped (their iterations still retire, so the loop
+  // completes and the posting worker can rethrow). `stop` latches the
+  // first cancellation or deadline observed. `cancel` borrows
+  // loop_options::cancel's flag (the options outlive the blocking call);
+  // deadline_at_ns is an absolute telemetry::steady_now_ns instant, 0 for
+  // none. parallel_for sets both before the loop is published.
   std::atomic<bool> failed{false};
+  std::atomic<std::uint8_t> stop{kRunning};
+  const std::atomic<bool>* cancel = nullptr;
+  std::uint64_t deadline_at_ns = 0;
+
+  alignas(kCacheLine) std::atomic<std::int64_t> remaining;
+  // Written only by the first throwing body, under error_mu.
   std::exception_ptr first_error;
   std::mutex error_mu;
 
-  // Cancellation/deadline state, set by parallel_for before the loop is
-  // published. `cancel` borrows loop_options::cancel's flag (the options
-  // outlive the blocking call); deadline_at_ns is an absolute
-  // telemetry::steady_now_ns instant, 0 for none.
-  const std::atomic<bool>* cancel = nullptr;
-  std::uint64_t deadline_at_ns = 0;
-  std::atomic<std::uint8_t> stop{kRunning};
   alignas(kCacheLine) std::atomic<std::int64_t> skipped{0};
 
   bool finished() const noexcept {
@@ -70,17 +83,26 @@ struct loop_ctx {
   void rethrow_if_failed();
 
   // Runs body on [lo, hi) on worker w — unless the loop has failed or
-  // stopped, in which case the body is skipped — records the trace and
-  // chunk telemetry, then retires the iterations. The retire is last: once
-  // remaining hits 0 the posting thread may return and the body callable
-  // may die, so nothing may touch `body` afterwards.
+  // stopped, in which case the body is skipped — and records the trace
+  // and chunk telemetry. It does not retire: the caller owns [lo, hi) as
+  // part of a claimed unit and retires the unit once its last chunk has
+  // run. Never throws (body exceptions are captured for rethrow_if_failed).
   void run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi);
 
-  // Retires n iterations. The call that drops `remaining` to zero wakes
-  // every parked worker: the posting worker may be parked inside
-  // work_until waiting on finished(), and that predicate flip has no other
-  // tracked wake edge — without this broadcast it would only notice at the
-  // park backstop.
+  // Runs [lo, hi) as grain-sized chunks through run_chunk, then retires
+  // all of it with one retire(). The one "walk a range in grain chunks"
+  // path: range_span reservations, the depth-cap fallback, and the
+  // serial-with-stop and admission-gate loops in parallel_for.
+  void run_range(rt::worker& w, std::int64_t lo, std::int64_t hi);
+
+  // Retires n iterations, after the last body among them has returned.
+  // This is the loop's linearization point: once remaining hits 0 the
+  // posting thread may return and the body callable may die, so the
+  // caller must not touch `body` (or anything else in the ctx) afterwards.
+  // The call that drops `remaining` to zero wakes every parked worker: the
+  // posting worker may be parked inside work_until waiting on finished(),
+  // and that predicate flip has no other tracked wake edge — without this
+  // broadcast it would only notice at the park backstop.
   void retire(rt::worker& w, std::int64_t n) noexcept;
 
  private:
@@ -93,6 +115,14 @@ struct loop_ctx {
   }
 };
 
+// Per-chunk reads (the stop state) must stay off the line every retire
+// writes, or each chunk's drain check would miss on a line the other
+// workers' retires keep invalidating.
+static_assert(offsetof(loop_ctx, failed) / kCacheLine !=
+              offsetof(loop_ctx, remaining) / kCacheLine);
+static_assert(offsetof(loop_ctx, stop) / kCacheLine !=
+              offsetof(loop_ctx, remaining) / kCacheLine);
+
 // Lazy steal-driven range splitting: the one span execution path for
 // dynamic_ws, hybrid partitions, loops nested inside either, and stolen
 // ranges. The owner publishes the span in its worker's range slot at the
@@ -101,14 +131,16 @@ struct loop_ctx {
 // thieves split off the upper half via the slot's CAS and seed their own
 // next slot recursively, so the divide-and-conquer span bound is
 // preserved while the no-steal fast path costs two shared stores per span
-// total. Past rt::worker::kMaxSpanDepth open spans, a span runs as serial
-// chunks — the only fallback.
+// total. Each range_slot::reserve batch is retired once, after its last
+// chunk (loop_ctx::run_range). Past rt::worker::kMaxSpanDepth open spans,
+// a span runs as serial chunks — the only fallback.
 class range_span {
  public:
   // Runs [lo, hi) of the loop_ctx `ctx` on w. Also the range_slot runner
   // thunk that executes a stolen range on the thief, so ctx is untyped and
   // no shared_ptr is taken: the span's iterations are unretired, so the
-  // loop cannot join — and ctx cannot die — before run_chunk retires them.
+  // loop cannot join — and ctx cannot die — before the span's own
+  // reservations retire them. Nothing touches ctx after the last one.
   static void run(rt::worker& w, void* ctx, std::int64_t lo, std::int64_t hi);
 };
 

@@ -84,6 +84,14 @@ const model_spec kSpecs[] = {
      "handoff dropped on a failed wake with every rescue removed (lost "
      "work)",
      true, 3},
+    {"loop-retire",
+     "per-reservation retire: owner and thief batch-retire multi-chunk "
+     "reservations, poster tears down after finished()",
+     false, 3},
+    {"loop-retire-broken-early",
+     "loop-retire with each reservation retired before its last body "
+     "(teardown races a running body)",
+     true, 3},
 };
 
 std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
@@ -117,6 +125,9 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "handoff") return hls::verify::make_handoff_model(false);
   if (name == "handoff-broken-dropped")
     return hls::verify::make_handoff_model(true);
+  if (name == "loop-retire") return hls::verify::make_loop_retire_model(false);
+  if (name == "loop-retire-broken-early")
+    return hls::verify::make_loop_retire_model(true);
   return nullptr;
 }
 

@@ -26,6 +26,10 @@
 //   range-depth — the same exactly-once and no-reopen-under-a-reader
 //                properties with two nesting depths open at once and a
 //                thief probing both (rt::worker's per-depth slots).
+//   loop-retire — per-reservation completion accounting: the retired
+//                total equals N exactly and the completion edge (remaining
+//                reaching 0) happens after every body, so the poster's
+//                teardown never races a chunk body.
 //   parking    — no lost wakeup: a consumer using the prepare/re-check/
 //                park protocol always terminates; skipping the re-check
 //                deadlocks (detected, with the interleaving that lost the
@@ -99,5 +103,13 @@ std::unique_ptr<model> make_backoff_model(bool broken_no_broadcast);
 // idle re-check, no poach) — caught as a deadlock with the stranding
 // interleaving.
 std::unique_ptr<model> make_handoff_model(bool broken_dropped);
+
+// Per-reservation completion accounting (sched::loop_ctx::run_range):
+// owner and thief each run a two-chunk reservation whose bodies write
+// race-checked outputs, then retire it with one acq_rel fetch_sub; the
+// poster waits on finished() and reads every output (the ctx teardown).
+// broken_early retires each reservation before its last body (caught as
+// an unwritten output or a body/teardown data race).
+std::unique_ptr<model> make_loop_retire_model(bool broken_early);
 
 }  // namespace hls::verify

@@ -1,7 +1,8 @@
 // The verification suite: bounded-exhaustive model checks of the shipping
 // protocol cores (claim + bitmap claim flags, ws_deque, range_slot's
-// two-word 64-bit layout and its per-depth nesting, parking) against the exact templates the
-// runtime instantiates, plus the negative half of the argument — the
+// two-word 64-bit layout and its per-depth nesting, parking, the loop's
+// per-reservation retire) against the exact templates the runtime
+// instantiates, plus the negative half of the argument — the
 // deliberately-broken protocol variants that the harness must catch, each
 // with a replayable failing schedule. A harness that cannot detect a
 // reintroduced bug proves nothing by passing.
@@ -119,6 +120,17 @@ TEST(VerifyHandoff, ExactlyOnceAndNoLostWorkExhaustiveBound2) {
   EXPECT_GT(res.executions, 1000u);
 }
 
+TEST(VerifyLoopRetire, BatchRetireCompletionEdgeExhaustiveBound3) {
+  // Per-reservation completion accounting: owner and thief each retire a
+  // two-chunk reservation with one fetch_sub after its last body; the
+  // poster's teardown after finished() must see every body and race none.
+  auto m = make_loop_retire_model(false);
+  const auto res = explore(*m, exhaustive(3));
+  EXPECT_TRUE(res.ok) << res.failure;
+  EXPECT_TRUE(res.exhausted);
+  EXPECT_GT(res.executions, 1000u);
+}
+
 // ---- negative: each broken variant must be caught and replayable ----------
 
 // Runs the broken model, requires a failure with a schedule, then replays
@@ -163,6 +175,14 @@ TEST(VerifyBroken, RangeDepthReopenWithoutDrainIsCaught) {
   // still be reading its fields while the second open rewrites them.
   expect_caught_and_replayable(make_range_depth_model(true),
                                make_range_depth_model(true), 3);
+}
+
+TEST(VerifyBroken, LoopRetireBeforeLastBodyIsCaught) {
+  // Retiring a reservation before its last chunk body lets the completion
+  // edge overtake that body: the poster's teardown reads an output the
+  // body has not written yet, or races its write.
+  expect_caught_and_replayable(make_loop_retire_model(true),
+                               make_loop_retire_model(true), 3);
 }
 
 TEST(VerifyBroken, RangeWordStealWithoutRecheckIsCaught) {
