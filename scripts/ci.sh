@@ -33,7 +33,7 @@ python3 tools/ordlint/ordlint.py --frontend=auto \
 ctest --test-dir build --output-on-failure
 
 # Deterministic model checking (docs/verification.md): bounded-exhaustive
-# sweeps of the shipping protocol cores, then the nine
+# sweeps of the shipping protocol cores, then the eight
 # seeded-broken variants, whose DETECTION is the pass (hls_verify inverts
 # the exit code for models marked expect-failure). The ctest pass above
 # already ran verify_test/claim_interleaving_test; this sweep exercises
@@ -52,7 +52,6 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=claim-bitmap --bound=-1"
     "--model=parking --bound=-1"
     "--model=parking-backoff --bound=4"
-    "--model=handoff --bound=3"
     "--model=loop-retire --bound=-1"
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
@@ -61,7 +60,6 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
-    "--model=handoff-broken-dropped --bound=3"
     "--model=loop-retire-broken-early --bound=3"
   )
 else
@@ -75,7 +73,6 @@ else
     "--model=claim-bitmap --bound=3"
     "--model=parking --bound=3"
     "--model=parking-backoff --bound=3"
-    "--model=handoff --bound=2"
     "--model=loop-retire --bound=3"
     "--model=deque-broken-nogenbump --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
@@ -84,7 +81,6 @@ else
     "--model=claim-bitmap-broken-nonatomic --bound=3"
     "--model=parking-broken-norecheck --bound=3"
     "--model=parking-backoff-broken-nobroadcast --bound=3"
-    "--model=handoff-broken-dropped --bound=3"
     "--model=loop-retire-broken-early --bound=3"
   )
 fi
@@ -133,11 +129,9 @@ python3 - <<'EOF'
 import json
 names = [b["name"] for b in json.load(open("build/BENCH_rt_primitives.json"))["benchmarks"]]
 assert any("BM_WakeLatency" in n for n in names), names
-assert any("BM_HandoffLatency" in n for n in names), names
 assert any("BM_BatchSteal" in n for n in names), names
 assert any("BM_SpanOverhead" in n for n in names), names
 assert any("BM_SpanOverhead/huge" in n for n in names), names
-assert any("BM_SpanOverhead/handoff" in n for n in names), names
 EOF
 
 # Huge-N smoke under a hard address-space cap: 2^33-iteration loops on the
@@ -152,27 +146,6 @@ echo "== huge-N smoke (bounded address space)"
 # next to the primitives archive for cross-run comparison.
 build/bench/fig1_micro --json > build/BENCH_fig1_micro.json
 python3 -m json.tool --json-lines build/BENCH_fig1_micro.json > /dev/null
-
-# DES handoff-vs-probe smoke (docs/runtime.md "Push-based handoff"): the
-# deterministic simulator A/Bs the push and pull wake models on a
-# scheduling-bound straggler workload. At the paper's scale (P >= 32) the
-# push model must actually donate and must not lose to the probe model on
-# makespan; the comparison JSON is archived for inspection.
-echo "== DES handoff-vs-probe smoke"
-build/examples/handoff_sim --json > build/DES_handoff_vs_probe.json
-python3 - <<'EOF'
-import json
-rows = [json.loads(l) for l in open("build/DES_handoff_vs_probe.json") if l.strip()]
-by = {(r["p"], r["mode"]): r for r in rows}
-for p in (32, 64):
-    probe, push = by[(p, "probe")], by[(p, "handoff")]
-    assert push["handoffs"] > 0, (p, push)
-    assert push["steals"] < probe["steals"], (p, push, probe)
-    # Donated wakes must win (small tolerance: the DES is deterministic,
-    # this guards the model, not host noise).
-    assert push["makespan_ns"] <= probe["makespan_ns"] * 1.01, (p, push, probe)
-print("DES handoff-vs-probe: push model dominates at P>=32")
-EOF
 
 # Perf-regression gate: both archives are diffed against the committed
 # baselines (bench/baseline/); a >15% regression fails the run. Regenerate

@@ -22,7 +22,6 @@ const char* hook_name(hook h) noexcept {
     case hook::delay_chunk: return "delay_chunk";
     case hook::delay_park: return "delay_park";
     case hook::thread_spawn: return "thread_spawn";
-    case hook::handoff_drop: return "handoff_drop";
     case hook::count_: break;
   }
   return "?";
@@ -72,7 +71,6 @@ config config::default_mix(std::uint64_t seed) {
   c.of(hook::delay) = 0.02;
   c.of(hook::delay_chunk) = 0.02;
   c.of(hook::delay_park) = 0.01;
-  c.of(hook::handoff_drop) = 0.10;
   c.delay_us = 20;
   return c;
 }

@@ -63,10 +63,6 @@ enum class hook : unsigned {
                  // preempted-idle-worker model)
   thread_spawn,  // runtime construction: one worker thread's spawn fails,
                  // shrinking the team (graceful-degradation path)
-  handoff_drop,  // donor publishes a handoff payload but drops both the
-                 // targeted wake and the reclaim — the payload is
-                 // stranded in the mailbox until a steal-round poach or
-                 // the shutdown sweep rescues it (exactly-once must hold)
   count_,
 };
 inline constexpr unsigned kNumHooks = static_cast<unsigned>(hook::count_);

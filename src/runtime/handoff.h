@@ -1,11 +1,6 @@
-// Shipping instantiation of the per-worker work-handoff mailbox (one per
-// worker, owned by the runtime).
-//
-// The claim/publish/take protocol lives in runtime/handoff_core.h as a
-// template over the synchronization traits (verify/sync.h), so the EXACT
-// code the runtime executes is also what the hls_verify handoff model
-// explores. This header pins the template to the real std::atomic-backed
-// traits and the scheduler-layer payload.
+// Instantiation of the handoff mailbox (runtime/handoff_core.h) over the
+// real std::atomic-backed traits and a range-or-task payload. The runtime
+// does not use it; it is kept only for loopbench's wake-latency ladder.
 #pragma once
 
 #include <cstdint>
@@ -19,11 +14,8 @@ namespace hls::rt {
 
 class task;
 
-// What a wake carries: either a pre-split loop range (executed through the
-// same runner thunk a range-slot steal uses, so the receiver opens its own
-// slot and keeps splitting recursively) or a surplus deque task. `donor`
-// feeds the receiver's victim-affinity hint — the pusher is likely to stay
-// loaded.
+// A mailbox payload: either a loop range (with the runner thunk a
+// range-slot steal uses) or a task.
 struct handoff_item {
   enum class kind : std::uint8_t { range, task };
   kind k = kind::range;
@@ -35,8 +27,7 @@ struct handoff_item {
   rt::task* t = nullptr;  // task payloads
 };
 
-// Padded so one worker's mailbox traffic never false-shares with its
-// neighbours' (the array is indexed by worker id, like the parking slots).
+// Padded so a mailbox never false-shares with its neighbours.
 struct alignas(kCacheLine) handoff_slot
     : handoff_slot_core<handoff_item, sync::real_traits> {};
 

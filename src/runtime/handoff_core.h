@@ -1,17 +1,12 @@
-// Per-worker work-handoff mailbox: the payload half of a push-based wake —
-// the protocol core, as a header template.
+// Single-item handoff mailbox — the protocol core, as a header template.
 //
-// A wake from `parking_lot_core::unpark_at` tells a parked worker *that*
-// work exists; the handoff slot tells it *what* the work is. A donor that
-// decides to push (wide span just opened, deque past the depth threshold)
-// deposits a pre-split range or a popped task into the target's slot and
-// only then issues the targeted wake, so the woken worker starts executing
-// with zero steal probes.
+// The runtime no longer uses it: push-based work handoff was deleted, and
+// every wake is a plain `notify_work()` after which the woken worker finds
+// its work by probing. The mailbox survives only for loopbench's
+// wake-latency ladder (`handoff_to_run_us`) and goes with that row at the
+// next benchmark change, together with its ordlint contract and tests.
 //
-// One slot per worker, single item, multi-producer (any loaded worker may
-// deposit into any idle peer) and multi-consumer (the owner consumes on
-// wake; thieves may poach a stranded deposit during their steal rounds;
-// the donor itself reclaims when the wake fails). The four-step state
+// Single item, multi-producer and multi-consumer. The four-step state
 // cycle arbitrates all of them with one word:
 //
 //   kEmpty --claim (CAS, donor)-->  kClaimed   donor owns payload fields
@@ -19,20 +14,15 @@
 //   kFull  --take (CAS, anyone)-->  kClaimed   taker owns payload fields
 //   kClaimed --(taker, release)-->  kEmpty     slot reusable
 //
-// Exactly-once is the kFull -> kClaimed CAS: of all racing takers
-// (owner's consume, a thief's poach, the donor's reclaim) exactly one
-// wins, and payload fields are only ever touched by the thread currently
-// holding kClaimed — so the fields need no atomicity of their own and the
-// verify harness race-checks them as `Traits::var`s.
+// Exactly-once is the kFull -> kClaimed CAS: of all racing takers exactly
+// one wins, and payload fields are only ever touched by the thread
+// currently holding kClaimed — so the fields need no atomicity of their
+// own.
 //
 // Ordering: publish's release store of kFull pairs with take's acquire
 // CAS (payload write happens-before payload read); take's release store
 // of kEmpty pairs with the next claim's acquire CAS (payload read
-// happens-before the next donor's write). The *visibility* guarantee —
-// a parked worker never misses a deposit — is not this class's job: the
-// donor deposits before `unpark_at`'s seq_cst fence, and the idle path's
-// `work_visible` re-check reads `full()` after `prepare_park`'s fence
-// (the same Dekker pairing the parking protocol already documents).
+// happens-before the next donor's write).
 #pragma once
 
 #include <atomic>
@@ -70,8 +60,7 @@ class handoff_slot_core {
     state_.store(kFull, std::memory_order_release);
   }
 
-  // Donor side, abort: release a claimed-but-unfilled slot (the pre-split
-  // failed, e.g. the donor's span turned out too narrow to halve).
+  // Donor side, abort: release a claimed-but-unfilled slot.
   void abort_claim() noexcept {
     state_.store(kEmpty, std::memory_order_release);
   }
@@ -94,9 +83,8 @@ class handoff_slot_core {
     return true;
   }
 
-  // True while a published payload is waiting. Racy by nature — used by
-  // the idle path's work-visibility re-check and the steal round's poach
-  // probe, both of which follow up with the authoritative try_take.
+  // True while a published payload is waiting. Racy by nature; callers
+  // follow up with the authoritative try_take.
   bool full() const noexcept {
     return state_.load(std::memory_order_acquire) == kFull;
   }

@@ -1,23 +1,21 @@
 // Per-worker load advertisement: a cacheline-striped board of "how much
-// work do I have right now" hints feeding victim selection and the
-// push-handoff donor path.
+// work do I have right now" hints feeding victim selection.
 //
 // Each worker owns one padded entry and publishes two numbers with plain
 // relaxed stores at its work boundaries: its deque depth (after push /
 // pop / a thief-visible batch steal is *not* republished — see below) and
-// the width of its currently open range-slot span (at open, each reserve
-// refill, and close). Readers — idle workers picking a steal victim, and
-// donors sizing up whether pushing is worthwhile — scan with relaxed
-// loads.
+// the width of its innermost open range-slot span (at open; at close the
+// enclosing open span's width, or 0). Idle workers picking a steal victim
+// scan with relaxed loads.
 //
 // Ordering contract (the full table lives in docs/runtime.md): the board
 // is *strictly advisory*. No acquire/release edge pairs with its stores;
 // a reader acting on an entry always follows up with the authoritative
-// protocol op (deque steal CAS, range-slot steal transaction, handoff
-// try_take), whose own ordering decides the race. Stale entries therefore
-// cost at most a wasted probe — exactly what a random probe costs today —
-// and owner-only publication keeps each entry's cacheline in its owner's
-// cache except when scanned. Thieves do not write back a victim's entry
+// protocol op (deque steal CAS, range-slot steal transaction), whose own
+// ordering decides the race. Stale entries therefore cost at most a
+// wasted probe — exactly what a random probe costs — and owner-only
+// publication keeps each entry's cacheline in its owner's cache except
+// when scanned. Thieves do not write back a victim's entry
 // after stealing from it (cross-thread stores would bounce the line);
 // the owner's next boundary refreshes it.
 #pragma once

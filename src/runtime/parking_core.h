@@ -203,42 +203,17 @@ class parking_lot_core {
     return false;
   }
 
-  // Advisory scan for a waiter that could consume a targeted wake right
-  // now: announced (pending or parked) and with no unconsumed wake. Used
-  // by the push-based handoff path to pick a deposit target *before*
-  // paying for the deposit itself. Purely a hint — the slot may become
-  // active between this scan and the unpark_at; callers must handle a
-  // false return from unpark_at by reclaiming whatever they deposited.
-  // Returns num_slots() when no candidate is visible.
-  std::uint32_t pick_waiter() noexcept {
-    Traits::fence(std::memory_order_seq_cst);
-    if (waiters_.load(std::memory_order_relaxed) == 0) return n_;
-    const std::uint32_t start = rotor_.load(std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < n_; ++i) {
-      slot& s = slots_[(start + i) % n_];
-      if (s.state.load(std::memory_order_relaxed) == kActive) continue;
-      bool eligible = false;
-      {
-        hls::scoped_lock<mutex_t> lg(s.mu);
-        eligible = s.state.load(std::memory_order_relaxed) != kActive &&
-                   !s.wake_pending;
-      }
-      if (eligible) return (start + i) % n_;
-    }
-    return n_;
-  }
-
-  // Targeted wake of one specific slot — the delivery half of a work
-  // handoff (the caller deposited a payload into w's handoff slot first).
-  // Same authoritative locked check as unpark_one: returns true only when
-  // slot w was announced and had no unconsumed wake, i.e. exactly one
-  // fresh wake was delivered. On false the caller still owns the deposit
-  // and must reclaim it (the target raced into activity, already holds a
-  // wake, or was never parked).
+  // Targeted wake of one specific slot. The runtime never calls it (every
+  // wake is unpark_one or unpark_all); it stays for loopbench's
+  // wake-latency ladder. Same authoritative locked check as
+  // unpark_one: returns true only when slot w was announced and had no
+  // unconsumed wake, i.e. exactly one fresh wake was delivered (false when
+  // the target raced into activity, already holds a wake, or was never
+  // parked).
   bool unpark_at(std::uint32_t w) noexcept {
-    // Dekker, notifier side: the deposit (payload publication) must be
-    // ordered before the waiter-state read. Pairs with the fence in
-    // prepare_park, exactly as in unpark_one.
+    // Dekker, notifier side: the caller's prior writes must be ordered
+    // before the waiter-state read. Pairs with the fence in prepare_park,
+    // exactly as in unpark_one.
     Traits::fence(std::memory_order_seq_cst);
     slot& s = slots_[w];
     bool signalled = false;

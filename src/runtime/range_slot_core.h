@@ -235,31 +235,6 @@ class range_slot_core {
   // Owner-thread-only: is this slot currently publishing a span?
   bool owner_open() const noexcept { return owner_open_.load(); }
 
-  // Owner-side reclaim of a range the owner itself just carved off with
-  // try_steal() (the push-handoff donor pre-split, docs/runtime.md): when
-  // the targeted wake fails and the donor takes its deposit back, this
-  // restores [lo, hi) — absolute bounds, exactly the `stolen` result — to
-  // the open span by raising hi from the committed post-steal frontier
-  // back to the pre-steal one. Succeeds only when hi still equals `lo`'s
-  // offset *clean*: any in-flight steal transaction (BUSY), a further
-  // committed steal, or a close makes the CAS miss and the caller must run
-  // the range itself. Raising hi here is not the reopen-ABA the close
-  // drain guards against: the slot is still inside the same open(), so a
-  // thief acting on the restored value steals a region that genuinely is
-  // stealable again. Precondition: called by the owner, before it has
-  // reserved past `lo` (the donor reclaims immediately, before its
-  // owner_loop starts).
-  bool try_unsteal(std::int64_t lo, std::int64_t hi) noexcept {
-    const std::int64_t b = base_.load();
-    std::uint64_t lo_off =
-        static_cast<std::uint64_t>(lo) - static_cast<std::uint64_t>(b);
-    const std::uint64_t hi_off =
-        static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(b);
-    return hi_.compare_exchange_strong(lo_off, hi_off,
-                                       std::memory_order_seq_cst,
-                                       std::memory_order_relaxed);
-  }
-
   // -- thief side -------------------------------------------------------
 
   // Cheap pre-check (one relaxed load, no RMW) for the steal path's

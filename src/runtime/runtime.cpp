@@ -81,7 +81,6 @@ runtime_options runtime_options::from_cli(const cli& c) {
   o.progress_budget = std::chrono::microseconds(
       c.get_int_in("progress-budget-us", 0, 0, 60'000'000));
   o.watchdog = c.get_bool("watchdog", true);
-  o.work_handoff = c.get_bool("work-handoff", true);
   o.max_inflight_loops = static_cast<std::uint32_t>(
       c.get_int_in("max-inflight-loops", 0, 0, 1 << 20));
   o.chaos = c.get("chaos", "");
@@ -96,8 +95,7 @@ runtime::runtime(const runtime_options& opt)
     : opt_(checked_options(opt)),
       tel_(opt_.num_workers),
       parking_(tel_.num_workers()),
-      loads_(tel_.num_workers()),
-      handoff_(new handoff_slot[tel_.num_workers()]) {
+      loads_(tel_.num_workers()) {
   const std::uint32_t requested = opt_.num_workers;
   std::uint64_t sm = opt_.seed;
   workers_.reserve(requested);
@@ -158,13 +156,6 @@ runtime::~runtime() {
   stop_.store(true, std::memory_order_release);
   parking_.request_stop();
   for (auto& t : threads_) t.join();
-  // Workers drained their own mailboxes on the way out of worker_main;
-  // worker 0 (this thread) and any degraded threadless workers still need
-  // theirs swept so no deposited payload leaks or goes unexecuted.
-  for (std::uint32_t i = 0; i < workers_.size(); ++i) {
-    while (workers_[0]->try_consume_handoff_from(i)) {
-    }
-  }
   if (tls_worker == workers_[0].get()) tls_worker = nullptr;
 }
 
@@ -231,11 +222,6 @@ bool runtime::work_visible(std::uint32_t self) const noexcept {
     for (std::uint32_t d = 0; d < worker::kMaxSpanDepth; ++d) {
       if (workers_[i]->range(d).looks_open()) return true;
     }
-    // A full handoff mailbox is published work: the deposit happens before
-    // the donor's targeted wake, and if that wake fails (or the chaos
-    // handoff_drop hook swallows it) the payload must still keep every
-    // would-be sleeper's re-check honest — any worker can poach it.
-    if (handoff_[i].full()) return true;
   }
   (void)self;
   return false;
@@ -311,14 +297,6 @@ void runtime::worker_main(std::uint32_t id) {
     } else {
       w.pause(++idle);
     }
-  }
-  // Shutdown drain: a deposit racing the stop flag must not be stranded in
-  // this worker's mailbox (a range payload holds unretired iterations; a
-  // task payload is owed exactly one execution). In correct usage loops
-  // and task groups complete before the runtime is destroyed, so this is
-  // a defensive sweep, but the exactly-once guarantee must not depend on
-  // that.
-  while (w.try_consume_handoff()) {
   }
   tls_worker = nullptr;
 }

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "runtime/board.h"
-#include "runtime/handoff.h"
 #include "runtime/load_board.h"
 #include "runtime/parking.h"
 #include "runtime/worker.h"
@@ -68,14 +67,6 @@ struct runtime_options {
   // backpressure) instead of posting to the board. 0 = unlimited.
   std::uint32_t max_inflight_loops = 0;
 
-  // Push-based work handoff (docs/runtime.md "Push-based handoff"): when
-  // true, a worker publishing fresh work while peers are parked pre-splits
-  // a range / pops a surplus task into the target's handoff mailbox before
-  // the targeted wake, so the woken worker starts executing with zero
-  // steal probes. Off restores the pure pull (probe) wake path — kept as
-  // an A/B knob for the handoff-vs-probe benches.
-  bool work_handoff = true;
-
   // Chaos spec (faultsim/faultsim.h). "" = fall back to the HLS_CHAOS
   // environment variable; a non-empty spec must parse or the runtime
   // constructor throws.
@@ -91,7 +82,7 @@ struct runtime_options {
   void validate() const;
 
   // Parses --workers, --park-backstop-us, --progress-budget-us,
-  // --watchdog=0|1, --work-handoff=0|1, --max-inflight-loops, --chaos.
+  // --watchdog=0|1, --max-inflight-loops, --chaos.
   // Unset flags keep the defaults above (num_workers falls back to
   // hardware_concurrency).
   static runtime_options from_cli(const cli& c);
@@ -216,28 +207,17 @@ class runtime {
   health_watchdog* watchdog() noexcept { return watchdog_.get(); }
 
   // True when the board has an open loop, or any worker has a queued
-  // task, an open range slot at any depth, or a full handoff mailbox. Racy
-  // by nature (size estimates); used by the idle path's check-then-park
-  // re-check and the spurious-wake accounting, never for correctness of
-  // work distribution itself.
+  // task or an open range slot at any depth. Racy by nature (size
+  // estimates); used by the idle path's check-then-park re-check and the
+  // spurious-wake accounting, never for correctness of work distribution
+  // itself.
   bool work_visible(std::uint32_t self) const noexcept;
 
   // The parking subsystem (exposed for tests and diagnostics).
   parking_lot& parking() noexcept { return parking_; }
 
-  // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Worker w's handoff mailbox: deposited into by donors (worker::
-  // donate_* / sched's donate-on-open), consumed by the owner's
-  // try_progress, poached by steal rounds, reclaimed by a donor whose
-  // targeted wake failed.
-  handoff_slot& handoff_of(std::uint32_t w) noexcept { return handoff_[w]; }
-  const handoff_slot& handoff_of(std::uint32_t w) const noexcept {
-    return handoff_[w];
-  }
-  bool handoff_enabled() const noexcept { return opt_.work_handoff; }
-
   // The per-worker load board (advisory deque-depth / span-width hints
-  // feeding victim selection and the donor path).
+  // feeding victim selection).
   load_board& loads() noexcept { return loads_; }
   const load_board& loads() const noexcept { return loads_; }
 
@@ -284,7 +264,6 @@ class runtime {
   telemetry::registry tel_;  // before workers_: workers reference slots
   parking_lot parking_;
   load_board loads_;
-  std::unique_ptr<handoff_slot[]> handoff_;  // one mailbox per worker
   std::vector<std::unique_ptr<worker>> workers_;
   std::vector<std::thread> threads_;
   board board_;

@@ -30,22 +30,11 @@ worker::worker(runtime& rt, std::uint32_t id, std::uint64_t seed,
 void worker::push(task* t) {
   deque_.push(t);
   advertise_deque();
-  // Deep-deque donation: with enough local backlog, hand one queued task
-  // straight to a parked peer instead of waking it to probe. The guard
-  // inside donate_surplus_task keeps the common no-sleeper case at one
-  // relaxed load.
-  if (deque_.size_estimate() >= kHandoffDepth && donate_surplus_task()) {
-    return;
-  }
   rt_.notify_work();
 }
 
 void worker::advertise_deque() noexcept {
   rt_.loads().publish_deque(id_, deque_.size_estimate());
-}
-
-void worker::advertise_span(std::uint64_t width) noexcept {
-  rt_.loads().publish_span(id_, width);
 }
 
 range_slot* worker::open_span(void* ctx, range_span_runner run,
@@ -54,141 +43,18 @@ range_slot* worker::open_span(void* ctx, range_span_runner run,
   if (depth_ == kMaxSpanDepth) return nullptr;
   range_slot& slot = ranges_[depth_];
   if (!slot.open(ctx, run, lo, hi, grain)) return nullptr;
-  ++depth_;
+  widths_[depth_] =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  rt_.loads().publish_span(id_, widths_[depth_++]);
   return &slot;
 }
 
-bool worker::close_span() noexcept { return ranges_[--depth_].close(); }
-
-bool worker::try_consume_handoff() { return try_consume_handoff_from(id_); }
-
-bool worker::try_consume_handoff_from(std::uint32_t v) {
-  handoff_item it;
-  if (!rt_.handoff_of(v).try_take(it)) return false;
-  telemetry::bump(tel_.counters.handoffs_consumed);
-  // Affinity follows the donor: a worker with surplus to push is the most
-  // likely place the next steal lands.
-  if (it.donor != id_ && it.donor < rt_.num_workers()) {
-    last_victim_ = it.donor;
-  }
-  if (it.k == handoff_item::kind::range) {
-    it.run(*this, it.ctx, it.lo, it.hi);
-  } else {
-    run(it.t);
-  }
-  return true;
-}
-
-// Picks a deposit target and claims its mailbox. Returns nullptr when the
-// handoff path should not run (disabled, solo, nobody parked, target
-// mailbox occupied). On success *target_out names the claimed peer.
-handoff_slot* worker::claim_handoff_target(std::uint32_t* target_out) {
-  if (!rt_.handoff_enabled()) return nullptr;
-  const std::uint32_t p = rt_.num_workers();
-  if (p <= 1) return nullptr;
-  parking_lot& pl = rt_.parking();
-  if (pl.waiters() == 0) return nullptr;
-  const std::uint32_t target = pl.pick_waiter();
-  if (target >= p || target == id_) return nullptr;
-  handoff_slot& box = rt_.handoff_of(target);
-  if (!box.try_claim()) return nullptr;
-  *target_out = target;
-  return &box;
-}
-
-// Deposit published; deliver the wake or reclaim the payload. Returns
-// true when the payload was delivered (targeted wake sent, or a racing
-// consumer already took it); false after a successful reclaim, with the
-// payload copied to *back for the caller to reinstate.
-bool worker::deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
-                                std::int64_t iters, handoff_item* back) {
-  if (faultsim::injector* c = rt_.chaos();
-      c != nullptr && c->fire(faultsim::hook::handoff_drop, id_)) {
-    // Injected dropped handoff: the wake is swallowed AND the donor
-    // forgets to reclaim — the payload is stranded in the mailbox. The
-    // no-lost-work guarantee now rests on the sweep paths (work_visible
-    // keeps would-be sleepers honest; steal rounds poach full mailboxes),
-    // which is exactly what the chaos sweep in handoff_test asserts.
-    telemetry::bump(tel_.counters.faults_injected);
-    return true;
-  }
-  if (rt_.parking().unpark_at(target)) {
-    telemetry::bump(tel_.counters.wakes_sent);
-    telemetry::bump(tel_.counters.handoffs_sent);
-    if (tel_.events_on()) {
-      tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(target), iters,
-                 telemetry::event_kind::handoff});
-    }
-    return true;
-  }
-  // The targeted wake failed (the peer raced into activity or already
-  // holds an unconsumed wake). Reclaim the deposit; exactly one of this
-  // take and any concurrent consumer/poacher wins.
-  if (box.try_take(*back)) {
-    telemetry::bump(tel_.counters.handoffs_reclaimed);
-    return false;
-  }
-  // Lost the reclaim race: someone is already executing the payload.
-  telemetry::bump(tel_.counters.handoffs_sent);
-  if (tel_.events_on()) {
-    tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(target), iters,
-               telemetry::event_kind::handoff});
-  }
-  return true;
-}
-
-bool worker::donate_range(range_slot& slot) {
-  std::uint32_t target = 0;
-  handoff_slot* box = claim_handoff_target(&target);
-  if (box == nullptr) return false;
-  // Donor-side pre-split: carve the upper half off this worker's own open
-  // span with the slot's regular thief protocol — the same CAS transaction
-  // an actual steal runs, so the Corollary-6 split bound and exactly-once
-  // argument apply unchanged.
-  const range_slot::stolen s = slot.try_steal();
-  if (!s) {
-    box->abort_claim();  // span too narrow to halve (or lost a race)
-    return false;
-  }
-  handoff_item it;
-  it.k = handoff_item::kind::range;
-  it.donor = id_;
-  it.run = s.run;
-  it.ctx = s.ctx;
-  it.lo = s.lo;
-  it.hi = s.hi;
-  box->publish(it);
-  handoff_item back;
-  if (deliver_or_reclaim(*box, target, s.hi - s.lo, &back)) return true;
-  // Reclaimed: restore the range to the open span when no thief moved the
-  // frontier meanwhile; otherwise execute it here (the runner publishes it
-  // at the next depth, so it stays stealable).
-  if (!slot.try_unsteal(back.lo, back.hi)) {
-    back.run(*this, back.ctx, back.lo, back.hi);
-  }
-  return false;
-}
-
-bool worker::donate_surplus_task() {
-  std::uint32_t target = 0;
-  handoff_slot* box = claim_handoff_target(&target);
-  if (box == nullptr) return false;
-  task* t = deque_.pop();
-  if (t == nullptr) {
-    box->abort_claim();  // thieves emptied the deque under us
-    return false;
-  }
-  handoff_item it;
-  it.k = handoff_item::kind::task;
-  it.donor = id_;
-  it.t = t;
-  box->publish(it);
-  advertise_deque();
-  handoff_item back;
-  if (deliver_or_reclaim(*box, target, 1, &back)) return true;
-  deque_.push(back.t);  // reclaimed: the task goes back where it came from
-  advertise_deque();
-  return false;
+bool worker::close_span() noexcept {
+  const bool split = ranges_[--depth_].close();
+  // An inner close leaves the enclosing span open and stealable, so the
+  // board keeps advertising it rather than reading idle.
+  rt_.loads().publish_span(id_, depth_ == 0 ? 0 : widths_[depth_ - 1]);
+  return split;
 }
 
 task* worker::pop_local() {
@@ -280,21 +146,7 @@ bool worker::try_steal_round() {
     }
     std::uint32_t k = 0;
     task* t = victim.deque().steal_batch(deque_, &k);
-    if (t == nullptr) {
-      // Last resort on this victim: poach its handoff mailbox. Normally
-      // the deposit's targeted wake delivers it to the addressee, but a
-      // stranded deposit (the donor lost its reclaim race, or a chaos-
-      // dropped wake) must not outlive the next steal round — this probe
-      // is the sweep that guarantees it.
-      if (rt_.handoff_of(v).full() && try_consume_handoff_from(v)) {
-        telemetry::bump(tel_.counters.steal_probes, probes);
-        telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-        if (affinity) telemetry::bump(tel_.counters.affinity_hits);
-        tel_.steal_probe_hist.record(probes);
-        return true;
-      }
-      return false;
-    }
+    if (t == nullptr) return false;
     telemetry::bump(tel_.counters.steal_probes, probes);
     telemetry::bump(tel_.counters.steals);
     telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
@@ -308,10 +160,9 @@ bool worker::try_steal_round() {
     }
     last_victim_ = v;
     advertise_deque();
-    // Surplus tasks just landed in this deque; hand one straight to a
-    // parked peer (wake that carries work), or chain a plain wake so
-    // another idle worker picks them up while this one runs the first.
-    if (k > 1 && !donate_surplus_task()) rt_.notify_work();
+    // Surplus tasks just landed in this deque; chain a wake so another
+    // idle worker picks them up while this one runs the first.
+    if (k > 1) rt_.notify_work();
     run(t);
     return true;
   };
@@ -352,9 +203,6 @@ bool worker::try_steal_round() {
 }
 
 bool worker::try_progress() {
-  // Mailbox first: a wake that carried work is consumed before any
-  // probing, so the push-handoff path really is zero-steal-probe.
-  if (try_consume_handoff()) return true;
   if (task* t = pop_local()) {
     run(t);
     return true;
@@ -422,11 +270,10 @@ void worker::pause(int idle_count, park_predicate done) {
       telemetry::bump(tel_.counters.wakes_spurious);
     }
     // Arm the wake-to-first-chunk measurement: a notified unpark that did
-    // not deliver the completion edge is the "go run loop work" case the
-    // push-based work-sharing PR wants latency for; the next chunk this
-    // worker starts closes the interval (registry.h, wake_to_chunk_hist).
-    // Timeout/stop wakeups disarm instead so backstop parks don't pollute
-    // the histogram.
+    // not deliver the completion edge is the "go run loop work" case; the
+    // next chunk this worker starts closes the interval (registry.h,
+    // wake_to_chunk_hist). Timeout/stop wakeups disarm instead so backstop
+    // parks don't pollute the histogram.
     if (notified && !done.satisfied()) {
       tel_.mark_woken(t0 + dt);
     } else {

@@ -9,7 +9,6 @@
 #include <cstdint>
 
 #include "runtime/deque.h"
-#include "runtime/handoff.h"
 #include "runtime/parking.h"
 #include "runtime/range_slot.h"
 #include "telemetry/registry.h"
@@ -55,13 +54,15 @@ class worker {
   range_slot& range(std::uint32_t d) noexcept { return ranges_[d]; }
 
   // Owner thread only. Publishes [lo, hi) in the slot at the next free
-  // depth and returns it; nullptr past kMaxSpanDepth (or for a span the
-  // slot rejects). Every successful open is paired with close_span().
+  // depth, advertises its width on the load board and returns it; nullptr
+  // past kMaxSpanDepth (or for a span the slot rejects). Every successful
+  // open is paired with close_span().
   range_slot* open_span(void* ctx, range_span_runner run, std::int64_t lo,
                         std::int64_t hi, std::int64_t grain) noexcept;
 
   // Owner thread only. Closes the innermost open span (draining its
-  // thieves) and returns true when a steal split it.
+  // thieves), re-advertises the width of the enclosing open span (0 when
+  // none is left) and returns true when a steal split it.
   bool close_span() noexcept;
 
   // This worker's telemetry state: counters, histograms, event ring.
@@ -78,42 +79,9 @@ class worker {
   // Executes t and deletes it.
   void run(task* t);
 
-  // One scheduling step: handoff mailbox, local pop, board visit, or one
-  // round of steal attempts. Returns true if progress was made.
+  // One scheduling step: local pop, board visit, or one round of steal
+  // attempts. Returns true if progress was made.
   bool try_progress();
-
-  // ---- push-based work handoff (docs/runtime.md) --------------------
-  // Consumes this worker's own handoff mailbox, if full: runs the payload
-  // (a pre-split range or a surplus task) and adopts the donor as the
-  // victim-affinity hint — the worker that had surplus to push is the most
-  // likely next steal target. Checked FIRST in try_progress, so a woken
-  // worker executes its delivered work with zero steal probes.
-  bool try_consume_handoff();
-
-  // Poach/drain variant: consumes worker v's mailbox from this worker.
-  // Steal rounds use it to rescue a stranded deposit (failed wake the
-  // donor lost the reclaim race for, or a chaos-dropped wake); the
-  // shutdown path uses it to sweep every mailbox.
-  bool try_consume_handoff_from(std::uint32_t v);
-
-  // Donor side. donate_range pre-splits half of `slot` — the span this
-  // worker just opened — with the exact thief protocol (so the
-  // Corollary-6 span bound is untouched) into a parked peer's mailbox and
-  // issues the targeted wake; called by the sched layer right after
-  // open_span.
-  // donate_surplus_task does the same with one task popped off the local
-  // deque (deep-push and batch-steal-surplus sites). Both return true
-  // when the payload was delivered (wake sent, or a racing consumer took
-  // it) — no further notify needed; false means nothing was handed off
-  // (no waiter, mailbox busy, pre-split failed, or the deposit was
-  // reclaimed) and the caller must fall back to notify_work().
-  bool donate_range(range_slot& slot);
-  bool donate_surplus_task();
-
-  // Owner-side load-board publication (relaxed, advisory): current deque
-  // depth, and the width of the currently open span (0 on close).
-  void advertise_deque() noexcept;
-  void advertise_span(std::uint64_t width) noexcept;
 
   // Drains and executes the local deque until it is empty. Used by the
   // hybrid loop to finish a claimed partition depth-first before the next
@@ -180,25 +148,19 @@ class worker {
   // batched stealing (ws_deque::steal_batch).
   bool try_steal_round();
 
-  // Handoff donor plumbing (worker.cpp): target selection + mailbox claim,
-  // and the wake-or-reclaim tail shared by both donate paths.
-  handoff_slot* claim_handoff_target(std::uint32_t* target_out);
-  bool deliver_or_reclaim(handoff_slot& box, std::uint32_t target,
-                          std::int64_t iters, handoff_item* back);
+  // Owner-side load-board publication of the current deque depth
+  // (relaxed, advisory).
+  void advertise_deque() noexcept;
 
   // "No remembered victim" sentinel for last_victim_.
   static constexpr std::uint32_t kNoVictim = 0xffffffffu;
-
-  // Deque depth at which a push prefers handing the task to a parked peer
-  // over a bare wake: below it the local backlog is small enough that the
-  // woken worker's steal probe lands anyway.
-  static constexpr std::uint32_t kHandoffDepth = 4;
 
   runtime& rt_;
   std::uint32_t id_;
   ws_deque deque_;
   std::array<range_slot, kMaxSpanDepth> ranges_;
   std::uint32_t depth_ = 0;  // open spans (owner thread only)
+  std::array<std::uint64_t, kMaxSpanDepth> widths_{};  // advertised per depth
   xoshiro256ss rng_;
   telemetry::worker_state& tel_;
 

@@ -126,12 +126,9 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
     ctx->run_range(w, lo, hi);
     return;
   }
-  // The span is the only published unit of work — advertise it once. With
-  // a parked peer, the wake itself carries the span's upper half
-  // (donate-on-open, docs/runtime.md "Push-based handoff"); otherwise fall
-  // back to the bare targeted wake and let the woken worker probe.
-  w.advertise_span(static_cast<std::uint64_t>(hi - lo));
-  if (!w.donate_range(*slot)) w.rt().notify_work();
+  // The span is the only published unit of work: one wake, and the woken
+  // worker finds it by probing.
+  w.rt().notify_work();
   std::uint64_t refills = 0;
   std::int64_t cur = lo;
   for (;;) {
@@ -153,7 +150,6 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
   // is empty, so no thief can split the span after its last reservation
   // retires.
   const bool split = w.close_span();
-  w.advertise_span(0);
   telemetry::worker_state& tel = w.tel();
   telemetry::bump(tel.counters.range_splits, refills);
   if (!split) telemetry::bump(tel.counters.spans_unsplit);

@@ -59,14 +59,7 @@ class loop_sim {
         straggle =
             opt_.straggler_delay_ns * (0.5 + 0.5 * rng_.next_double());
       }
-      auto& s = ws_[w];
-      s.entry_floor = post_ + m_.loop_post + straggle;
-      s.entry_t = s.entry_floor + discovery;
-      // Parked-since-post baseline for the wake_to_first stat: latency is
-      // measured from the instant the worker was both free and work
-      // existed, so straggle is excluded in both the push and pull modes.
-      s.idle_since = s.entry_floor;
-      schedule(w, s.entry_t);
+      schedule(w, post_ + m_.loop_post + straggle + discovery);
     }
     while (!heap_.empty()) {
       const auto [t, w] = heap_.top();
@@ -84,22 +77,6 @@ class loop_sim {
     std::deque<irange> dq;  // back = bottom (owner side), front = top
     std::uint64_t claim_i = 0;
     double idle_backoff = 0;
-    // Push-based handoff (sim_options::push_handoff): the mailbox a donor
-    // deposits a pre-split range into before the targeted wake, and the
-    // time this worker ran dry (-1 = has work). idle_since_ also feeds the
-    // wake_to_first_ns stat in the pull model, where the "wake" is the
-    // backoff expiry that finally wins a steal.
-    irange pending;
-    bool has_pending = false;
-    double idle_since = -1;
-    // Entry model, for donate-on-open: entry_floor is the earliest this
-    // worker could possibly start (loop post + any multiprogramming
-    // straggle — a targeted wake cannot preempt another program), entry_t
-    // the polled discovery it would otherwise ride out. A donation
-    // reschedules the entry to now + handoff_cost, skipping the residual
-    // discovery wait and the arrival probe walk.
-    double entry_floor = 0;
-    double entry_t = 0;
   };
 
   void schedule(std::uint32_t w, double t) { heap_.push({t, w}); }
@@ -138,77 +115,18 @@ class loop_sim {
   // halves go to the worker's deque for thieves); schedules the completion
   // event.
   void run_range(std::uint32_t w, irange rg, double t, double lead) {
-    bool donated = false;
     while (rg.size() > grain_) {
       const std::int64_t mid = rg.lo + rg.size() / 2;
-      const irange upper{mid, rg.hi};
+      ws_[w].dq.push_back({mid, rg.hi});
       rg.hi = mid;
-      // Donate-on-open: the FIRST (largest) upper half goes straight to
-      // the longest-idle peer's mailbox with a targeted wake, exactly once
-      // per opened range — the threaded donor's one pre-split per span.
-      // The donor pays handoff_cost in its lead; the peer is rescheduled
-      // at the wake instant and dispatches with zero probes.
-      if (opt_.push_handoff && !donated) {
-        const std::uint32_t tgt = pick_idle(w, t + lead);
-        if (tgt < p_) {
-          auto& ts = ws_[tgt];
-          ts.pending = upper;
-          ts.has_pending = true;
-          lead += m_.handoff_cost;
-          out_.handoff_ns += m_.handoff_cost;
-          ++out_.handoffs;
-          schedule(tgt, t + lead);
-          donated = true;
-          continue;
-        }
-      }
-      ws_[w].dq.push_back(upper);
     }
     out_.dispatch_ns += m_.chunk_dispatch;
     run_chunk(w, rg, t, lead + m_.chunk_dispatch);
   }
 
-  // DES analogue of parking_lot_core::pick_waiter: a peer that would take
-  // the longest to find this work on its own. Two kinds qualify — a worker
-  // idling in steal backoff (longest-idle preferred), and one still riding
-  // its polled discovery of the loop (latest discovery preferred, but only
-  // once its multiprogramming floor has passed: a wake cannot preempt the
-  // other program, and must actually beat the poll it replaces). Returns
-  // p_ when every peer is busy.
-  std::uint32_t pick_idle(std::uint32_t w, double t) const {
-    std::uint32_t best = p_;
-    double best_key = 0;
-    for (std::uint32_t v = 0; v < p_; ++v) {
-      const auto& s = ws_[v];
-      if (v == w || s.has_pending) continue;
-      double key;
-      if (s.md == wmode::entering) {
-        // Beyond the residual discovery wait, the carried payload also
-        // saves the arrival probe walk — worth it even when the poll was
-        // about to land.
-        if (s.entry_floor > t) continue;
-        key = s.entry_t - t;
-      } else if (s.md != wmode::done && s.idle_since >= 0 && s.dq.empty()) {
-        key = t - s.idle_since;  // time already wasted in backoff
-      } else {
-        continue;
-      }
-      if (best == p_ || key > best_key) {
-        best = v;
-        best_key = key;
-      }
-    }
-    return best;
-  }
-
   // Executes rg as one sequential chunk.
   void run_chunk(std::uint32_t w, irange rg, double t, double lead) {
     const double start = t + lead;
-    if (ws_[w].idle_since >= 0) {
-      out_.wake_to_first_ns += start - ws_[w].idle_since;
-      ++out_.wakes;
-      ws_[w].idle_since = -1;
-    }
     const double dur = exec_cost(w, rg);
     out_.work_ns += dur;
     out_.busy_ns_per_worker[w] += lead + dur;
@@ -372,13 +290,6 @@ class loop_sim {
         [[fallthrough]];
 
       case wmode::thief: {
-        // A deposited handoff is consumed before any probe — the woken
-        // worker's mailbox-first rule (rt::worker::try_consume_handoff).
-        if (s.has_pending) {
-          s.has_pending = false;
-          run_range(w, s.pending, t, 0.0);
-          return;
-        }
         if (try_local(w, t)) return;
         if (try_steal(w, t)) return;
         if (done_iters_ >= n_) {
@@ -386,7 +297,6 @@ class loop_sim {
           return;
         }
         // Nothing stealable yet: exponential backoff retry.
-        if (s.idle_since < 0) s.idle_since = t;
         s.idle_backoff = std::min(
             10000.0, std::max(2.0 * m_.steal_attempt, s.idle_backoff * 2.0));
         schedule(w, t + s.idle_backoff);

@@ -62,12 +62,10 @@
                      "chunks (every range slot was open)")                \
   X(gated_loops, "parallel_for submissions serialized by the "           \
                  "admission gate (in-flight limit reached)")              \
-  X(handoffs_sent, "work handoffs deposited and signalled (targeted "    \
-                   "wake carrying a pre-split range or surplus task)")    \
-  X(handoffs_consumed, "handoff payloads taken from this worker's own "  \
-                       "mailbox or poached from a peer's")                \
-  X(handoffs_reclaimed, "deposits taken back by the donor after a "      \
-                        "failed targeted wake (waiter vanished)")         \
+  X(handoffs_sent, "always 0: push handoff was deleted; kept until "    \
+                   "loopbench stops reading it")                          \
+  X(handoffs_consumed, "always 0: push handoff was deleted; kept until " \
+                       "loopbench stops reading it")                      \
   X(load_board_hits, "steals won on the load board's busiest-worker "    \
                      "advertisement")
 

@@ -107,14 +107,6 @@ struct worker_state {
     const std::uint64_t gap =
         t_ns >= pending_wake_ns_ ? t_ns - pending_wake_ns_ : 0;
     wake_to_chunk_hist.record(gap);
-    // Exact last sample, beside the quantized histogram: the handoff
-    // latency benchmark reads it cross-thread between iterations (pow2
-    // buckets are too coarse for a median over a few-us interval).
-    last_wake_gap_ns_.store(gap, std::memory_order_relaxed);
-  }
-  // Cross-thread read of the most recent wake-to-first-chunk gap (ns).
-  std::uint64_t last_wake_gap_ns() const noexcept {
-    return last_wake_gap_ns_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -125,7 +117,6 @@ struct worker_state {
   std::uint32_t id_ = 0;
   std::uint64_t pending_wake_ns_ = 0;
   bool wake_pending_ = false;
-  std::atomic<std::uint64_t> last_wake_gap_ns_{0};
 };
 
 class registry {

@@ -76,14 +76,6 @@ const model_spec kSpecs[] = {
      "backoff nap with the retire unpark_all omitted (sleeps past "
      "completion)",
      true, 3},
-    {"handoff",
-     "push-based handoff: deposit/unpark_at vs consume/poach/reclaim, "
-     "exactly-once + no lost work",
-     false, 3},
-    {"handoff-broken-dropped",
-     "handoff dropped on a failed wake with every rescue removed (lost "
-     "work)",
-     true, 3},
     {"loop-retire",
      "per-reservation retire: owner and thief batch-retire multi-chunk "
      "reservations, poster tears down after finished()",
@@ -122,9 +114,6 @@ std::unique_ptr<model> make(const std::string& name, const hls::cli& args) {
   if (name == "parking-backoff") return hls::verify::make_backoff_model(false);
   if (name == "parking-backoff-broken-nobroadcast")
     return hls::verify::make_backoff_model(true);
-  if (name == "handoff") return hls::verify::make_handoff_model(false);
-  if (name == "handoff-broken-dropped")
-    return hls::verify::make_handoff_model(true);
   if (name == "loop-retire") return hls::verify::make_loop_retire_model(false);
   if (name == "loop-retire-broken-early")
     return hls::verify::make_loop_retire_model(true);

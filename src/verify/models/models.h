@@ -94,16 +94,6 @@ std::unique_ptr<model> make_parking_model(bool broken_skip_recheck);
 // the (harness-disabled) backstop timeout — caught as a deadlock.
 std::unique_ptr<model> make_backoff_model(bool broken_no_broadcast);
 
-// Push-based work handoff: donor deposit/publish + targeted unpark_at vs
-// the owner's consume, a thief's poach, and the donor's failed-wake
-// reclaim, over handoff_slot_core + parking_lot_core. Lost work is
-// modeled as a deadlock (the donor cannot retire the loop until the
-// payload executes). broken_dropped drops the deposit on a failed wake
-// with every rescue layer removed (no reclaim, no mailbox term in the
-// idle re-check, no poach) — caught as a deadlock with the stranding
-// interleaving.
-std::unique_ptr<model> make_handoff_model(bool broken_dropped);
-
 // Per-reservation completion accounting (sched::loop_ctx::run_range):
 // owner and thief each run a two-chunk reservation whose bodies write
 // race-checked outputs, then retire it with one acq_rel fetch_sub; the

@@ -333,55 +333,5 @@ TEST(SweepReport, ProducesMonotoneSpeedupForHybridBalanced) {
   EXPECT_GT(sweep.points.back().speedup, 4.0);
 }
 
-// Push-based handoff A/B (sim_options::push_handoff). Every iteration must
-// still be scheduled exactly once — a dropped donation would show up as a
-// coverage hole here. (work_ns is NOT compared: it includes locality
-// costs, which legitimately move when the chunk->core mapping changes.)
-TEST(SimEngine, PushHandoffPreservesCoverage) {
-  const auto w = micro_spec(small_balanced());
-  sim_options opt;
-  opt.push_handoff = true;
-  opt.record_schedule = true;
-  for (policy pol : {policy::dynamic_ws, policy::hybrid}) {
-    const auto r = simulate(paper_machine(), w, pol, opt);
-    std::int64_t iters = 0;
-    for (const auto& c : r.schedule) iters += c.end - c.begin;
-    EXPECT_EQ(iters, w.loops[0].n * w.outer_iterations) << policy_name(pol);
-  }
-}
-
-TEST(SimEngine, PushHandoffOffIsBitIdenticalToTheOldModel) {
-  // The knob must not perturb the pull model: fig1/fig3 baselines are
-  // simulator outputs and gate on exact speedups.
-  const auto w = micro_spec(small_unbalanced());
-  sim_options off;
-  off.straggler_fraction = 0.3;
-  off.straggler_delay_ns = 50000.0;
-  const auto a = simulate(paper_machine(), w, policy::dynamic_ws, off);
-  const auto b = simulate(paper_machine(), w, policy::dynamic_ws, off);
-  EXPECT_EQ(a.makespan_ns, b.makespan_ns);
-  EXPECT_EQ(a.handoffs, 0u);
-  EXPECT_EQ(a.handoff_ns, 0.0);
-}
-
-TEST(SimEngine, PushHandoffDonatesAndHelpsWideTeamsWithStragglers) {
-  micro_params p = small_balanced();
-  p.iterations = 4096;
-  p.outer_iterations = 16;
-  const auto w = micro_spec(p);
-  sim_options opt;
-  opt.straggler_fraction = 0.25;
-  opt.straggler_delay_ns = 50000.0;
-  const auto probe = simulate(paper_machine(), w, policy::dynamic_ws, opt);
-  opt.push_handoff = true;
-  const auto push = simulate(paper_machine(), w, policy::dynamic_ws, opt);
-  EXPECT_GT(push.handoffs, 0u);
-  EXPECT_GT(push.handoff_ns, 0.0);
-  EXPECT_GT(push.wakes, 0u);
-  // Donated wakes replace steal migrations and close instances sooner.
-  EXPECT_LT(push.steals, probe.steals);
-  EXPECT_LE(push.makespan_ns, probe.makespan_ns * 1.02);
-}
-
 }  // namespace
 }  // namespace hls::sim

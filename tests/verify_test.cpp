@@ -106,20 +106,6 @@ TEST(VerifyParkingBackoff, CompletionEdgeNeverLostExhaustiveBound3) {
   EXPECT_TRUE(res.exhausted);
 }
 
-TEST(VerifyHandoff, ExactlyOnceAndNoLostWorkExhaustiveBound2) {
-  // Push-based handoff: deposit/publish + targeted unpark_at vs the
-  // owner's consume, a thief's poach, and the donor's failed-wake reclaim.
-  // Lost work is modeled as a deadlock (the donor cannot retire the loop
-  // until the payload executes), so exhausting clean proves both
-  // exactly-once and no-lost-work. Bound 2 keeps this in ctest time;
-  // ci.sh's sweeps re-run at bound 3.
-  auto m = make_handoff_model(false);
-  const auto res = explore(*m, exhaustive(2));
-  EXPECT_TRUE(res.ok) << res.failure;
-  EXPECT_TRUE(res.exhausted);
-  EXPECT_GT(res.executions, 1000u);
-}
-
 TEST(VerifyLoopRetire, BatchRetireCompletionEdgeExhaustiveBound3) {
   // Per-reservation completion accounting: owner and thief each retire a
   // two-chunk reservation with one fetch_sub after its last body; the
@@ -218,18 +204,6 @@ TEST(VerifyBroken, BackoffWithoutRetireBroadcastIsCaught) {
   // the harness models as a deadlock.
   expect_caught_and_replayable(make_backoff_model(true),
                                make_backoff_model(true), 3);
-}
-
-TEST(VerifyBroken, HandoffDroppedWithoutRescueIsCaught) {
-  // Dropping the deposit after a failed targeted wake — with the donor
-  // reclaim, the idle re-check's mailbox term, and the poach sweep all
-  // removed — strands the payload: the donor spins on work nobody can see
-  // and the consumer parks with nobody left to wake it. Reported as a
-  // deadlock with the stranding interleaving.
-  expect_caught_and_replayable(make_handoff_model(true),
-                               make_handoff_model(true), 3);
-  const auto res = explore(*make_handoff_model(true), exhaustive(3));
-  EXPECT_NE(res.failure.find("deadlock"), std::string::npos) << res.failure;
 }
 
 // ---- harness mechanics ----------------------------------------------------

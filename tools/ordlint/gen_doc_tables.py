@@ -35,6 +35,8 @@ def emit(path):
     out.append(f"### `{proto['name']}` — `{path}`")
     out.append("")
     extras = []
+    if proto.get("note"):
+        extras.append(proto["note"])
     if proto.get("plain"):
         extras.append("plain (`Traits::var`) fields: "
                       + ", ".join(f"`{p}`" for p in proto["plain"]))
