@@ -15,13 +15,7 @@
 
 namespace hls::rt {
 
-namespace {
-// Thread-local binding of OS thread -> worker, so nested parallel calls
-// issued from inside tasks land on the executing worker.
-thread_local worker* tls_worker = nullptr;
-}  // namespace
-
-worker* current_worker_or_null() noexcept { return tls_worker; }
+using detail::tls_worker;
 
 namespace {
 std::uint32_t checked_worker_count(std::uint32_t num_workers) {

@@ -34,10 +34,19 @@ namespace hls::rt {
 
 class health_watchdog;
 
+namespace detail {
+// Thread-local binding of OS thread -> worker, so nested parallel calls
+// issued from inside tasks land on the executing worker. Written only by
+// runtime.cpp (worker threads at start and exit, worker 0's thread by the
+// runtime's constructor and destructor).
+inline thread_local worker* tls_worker = nullptr;
+}  // namespace detail
+
 // The worker bound to the calling thread, or nullptr when the thread is not
 // a runtime worker (e.g. during static initialization or in tests that use
-// tasks without a runtime). Used by pooled task allocation.
-worker* current_worker_or_null() noexcept;
+// tasks without a runtime). Inline, so a chunk body that indexes
+// per-worker state pays one thread-local load, not a call.
+inline worker* current_worker_or_null() noexcept { return detail::tls_worker; }
 
 // Construction-time runtime configuration. All knobs are validated by
 // validate() (called by the runtime constructor); from_cli additionally

@@ -27,6 +27,15 @@ bool loop_ctx::stop_requested(rt::worker& w) noexcept {
   return false;
 }
 
+void loop_ctx::capture_error(rt::worker& w) noexcept {
+  telemetry::bump(w.tel().counters.exceptions_caught);
+  std::lock_guard<std::mutex> lk(error_mu);
+  if (!failed.load(std::memory_order_relaxed)) {
+    first_error = std::current_exception();
+    failed.store(true, std::memory_order_release);
+  }
+}
+
 void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   if (lo >= hi) return;
   // Heartbeat at the chunk boundary (runtime/health.h): a worker stuck
@@ -64,12 +73,7 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
       body(lo, hi);
       if (trace != nullptr) trace->record(w.id(), lo, hi);
     } catch (...) {
-      telemetry::bump(tel.counters.exceptions_caught);
-      std::lock_guard<std::mutex> lk(error_mu);
-      if (!failed.load(std::memory_order_relaxed)) {
-        first_error = std::current_exception();
-        failed.store(true, std::memory_order_release);
-      }
+      capture_error(w);
     }
   } else {
     skipped.fetch_add(hi - lo, std::memory_order_relaxed);
@@ -83,13 +87,71 @@ void loop_ctx::run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi) {
   }
 }
 
+namespace {
+
+// Grain-sized chunks in [lo, hi), lo < hi; written so it cannot overflow.
+std::uint64_t chunks_in(std::int64_t lo, std::int64_t hi,
+                        std::int64_t grain) noexcept {
+  return static_cast<std::uint64_t>((hi - lo - 1) / grain + 1);
+}
+
+}  // namespace
+
+void loop_ctx::run_bare(rt::worker& w, std::int64_t lo, std::int64_t hi) {
+  // stop latches only inside stop_requested, and only for a loop with a
+  // cancel token or deadline; without either, `failed` is the whole
+  // drain check.
+  const bool polls = cancel != nullptr || deadline_at_ns != 0;
+  std::int64_t cur = lo;
+  while (cur < hi) {
+    // Per-chunk heartbeat, as in run_chunk: a body that never returns
+    // stops the beats and the watchdog sees the stall.
+    w.beat();
+    // The drain still polls per chunk. A drain is permanent (failed and
+    // stop only ever latch), so the first one ends the walk and the rest
+    // of the range is skipped in one step below.
+    if (failed.load(std::memory_order_acquire) ||
+        (polls && stop_requested(w))) {
+      break;
+    }
+    const std::int64_t next = hi - cur > grain ? cur + grain : hi;
+    try {
+      body(cur, next);
+    } catch (...) {
+      capture_error(w);
+    }
+    cur = next;
+  }
+  // Per-reservation counter bumps, with the totals run_chunk's per-chunk
+  // bumps would give: every chunk counts in chunks_run, the skipped ones
+  // also in cancelled_chunks.
+  telemetry::worker_state& tel = w.tel();
+  telemetry::bump(tel.counters.chunks_run, chunks_in(lo, hi, grain));
+  if (cur < hi) {
+    skipped.fetch_add(hi - cur, std::memory_order_relaxed);
+    telemetry::bump(tel.counters.cancelled_chunks, chunks_in(cur, hi, grain));
+  }
+}
+
 void loop_ctx::run_range(rt::worker& w, std::int64_t lo, std::int64_t hi) {
-  for (std::int64_t cur = lo; cur < hi; cur += grain) {
-    run_chunk(w, cur, std::min(cur + grain, hi));
+  if (lo >= hi) return;
+  // Reservation-invariant reads, once per range. A wake pending from the
+  // last unpark closes at this walk's first chunk; chaos, events or trace
+  // switched on mid-range take effect at the next range.
+  telemetry::worker_state& tel = w.tel();
+  if (tel.wake_pending()) tel.note_chunk_started(tel.now());
+  if (w.rt().chaos() == nullptr && !tel.events_on() && trace == nullptr) {
+    run_bare(w, lo, hi);
+  } else {
+    // Instrumented walk: fault hooks, chunk spans and the loop trace act
+    // per chunk.
+    for (std::int64_t cur = lo; cur < hi; cur += grain) {
+      run_chunk(w, cur, std::min(cur + grain, hi));
+    }
   }
   // One retire for the whole range, after its last body returned — also
   // when every chunk was skipped, so the loop still terminates.
-  if (lo < hi) retire(w, hi - lo);
+  retire(w, hi - lo);
 }
 
 void loop_ctx::retire(rt::worker& w, std::int64_t n) noexcept {
@@ -135,7 +197,7 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
     // One RMW reserves the next max(grain, remaining/8) iterations; the
     // chunks inside a reservation then run with no shared-word traffic,
     // and one retire accounts for all of them after the last body returns
-    // (cancellation/deadline/drain still poll per chunk in run_chunk).
+    // (cancellation/deadline/drain still poll per chunk in run_range).
     const std::int64_t res = slot->reserve(cur);
     if (res <= cur) break;  // thieves consumed everything above cur
     ++refills;
@@ -144,7 +206,7 @@ void range_span::run(rt::worker& w, void* ctx_raw, std::int64_t lo,
     ctx->run_range(w, cur, res);
     cur = res;
   }
-  // Nothing above can throw (run_chunk captures body exceptions), so the
+  // Nothing above can throw (run_range captures body exceptions), so the
   // slot is always closed — and drained — before ctx may be rewritten or
   // freed. Note the final reserve() only fails once the stealable region
   // is empty, so no thief can split the span after its last reservation

@@ -27,9 +27,9 @@ namespace hls::sched {
 //
 // Completion is accounted per reservation, not per chunk: whoever claims
 // a unit of work (a range_slot reservation, a static block, one
-// participate() call's queue chunks) runs its chunks through run_chunk
-// and then retires the whole unit with a single retire(). The shared
-// `remaining` line therefore sees one RMW per claim, not one per chunk.
+// participate() call's queue chunks) runs its chunks and then retires the
+// whole unit with a single retire(). The shared `remaining` line
+// therefore sees one RMW per claim, not one per chunk.
 struct loop_ctx {
   // Why this loop stopped handing out bodies (maps onto loop_status).
   enum : std::uint8_t { kRunning = 0, kCancelled = 1, kDeadline = 2 };
@@ -89,10 +89,18 @@ struct loop_ctx {
   // run. Never throws (body exceptions are captured for rethrow_if_failed).
   void run_chunk(rt::worker& w, std::int64_t lo, std::int64_t hi);
 
-  // Runs [lo, hi) as grain-sized chunks through run_chunk, then retires
-  // all of it with one retire(). The one "walk a range in grain chunks"
-  // path: range_span reservations, the depth-cap fallback, and the
-  // serial-with-stop and admission-gate loops in parallel_for.
+  // Runs [lo, hi) as grain-sized chunks, then retires all of it with one
+  // retire(). The one "walk a range in grain chunks" path: range_span
+  // reservations, the depth-cap fallback, and the serial-with-stop and
+  // admission-gate loops in parallel_for.
+  //
+  // The reservation-invariant reads (chaos, events, trace, whether the
+  // loop has a cancel token or deadline, the pending-wake flag) happen
+  // once, at the start. With chaos, events and trace all off the chunks
+  // run in a bare loop that pays per chunk only the heartbeat, one drain
+  // check and the body, and bumps chunks_run / cancelled_chunks once for
+  // the whole range; otherwise every chunk walks through run_chunk. Both
+  // walks give the same counter totals and skip accounting.
   void run_range(rt::worker& w, std::int64_t lo, std::int64_t hi);
 
   // Retires n iterations, after the last body among them has returned.
@@ -106,6 +114,14 @@ struct loop_ctx {
   void retire(rt::worker& w, std::int64_t n) noexcept;
 
  private:
+  // run_range's bare walk: chaos, events and trace are off.
+  void run_bare(rt::worker& w, std::int64_t lo, std::int64_t hi);
+
+  // Records the exception being handled as a body failure: bumps
+  // exceptions_caught and keeps the first one for rethrow_if_failed.
+  // Call only from inside a catch handler. Shared by both walks.
+  [[gnu::cold]] void capture_error(rt::worker& w) noexcept;
+
   // Latches `reason` if still running; returns true for the latching call.
   bool latch_stop(std::uint8_t reason) noexcept {
     std::uint8_t expect = kRunning;

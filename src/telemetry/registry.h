@@ -31,6 +31,7 @@
 #include "telemetry/events.h"
 #include "telemetry/histogram.h"
 #include "util/bits.h"
+#include "util/cacheline.h"
 #include "util/thread_safety.h"
 
 namespace hls::telemetry {
@@ -52,8 +53,10 @@ struct worker_event {
 };
 
 // Per-worker telemetry state. Written only by the owning worker (except
-// for the rare registry-side setup), read by anyone.
-struct worker_state {
+// for the rare registry-side setup), read by anyone. Cache-line aligned so
+// consecutive registry entries never share a line: one worker's wake
+// fields must not sit on the line another worker's steal rounds bump.
+struct alignas(kCacheLine) worker_state {
   atomic_counter_set counters;
 
   // Always-on histograms.
@@ -118,6 +121,8 @@ struct worker_state {
   std::uint64_t pending_wake_ns_ = 0;
   bool wake_pending_ = false;
 };
+
+static_assert(alignof(worker_state) == kCacheLine);
 
 class registry {
  public:

@@ -9,7 +9,11 @@
 //     iteration is either executed or counted as skipped;
 //   * a cancel mid-reservation reports skipped == N - executed;
 //   * under seeded faults (delay_chunk, range_fail) plus body throws, no
-//     iteration runs twice and none is lost from the accounting.
+//     iteration runs twice and none is lost from the accounting;
+//   * the bare per-reservation walk (chaos, events and trace off) and the
+//     instrumented per-chunk walk (run_chunk) give the same skip and
+//     counter totals, and events switched on between two loops trace
+//     every chunk of the second.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -48,9 +52,11 @@ loop_options fine_options() {
 // Drives one loop the way parallel_for does, but hands the loop_ctx back
 // so a test can read its skip accounting even after a body threw (the
 // exception path of parallel_for returns no loop_result).
-std::shared_ptr<sched::loop_ctx> drive(rt::runtime& rt, policy pol,
-                                       std::int64_t n, chunk_body body) {
-  auto ctx = std::make_shared<sched::loop_ctx>(0, n, body, 1, nullptr);
+std::shared_ptr<sched::loop_ctx> drive(
+    rt::runtime& rt, policy pol, std::int64_t n, chunk_body body,
+    std::int64_t grain = 1, const std::atomic<bool>* cancel = nullptr) {
+  auto ctx = std::make_shared<sched::loop_ctx>(0, n, body, grain, nullptr);
+  ctx->cancel = cancel;
   rt::worker& me = rt.current_worker();
   if (pol == policy::dynamic_ws) {
     sched::range_span::run(me, ctx.get(), 0, n);
@@ -220,6 +226,151 @@ INSTANTIATE_TEST_SUITE_P(Batched, RetireBatch,
                          [](const auto& info) {
                            return std::string(policy_name(info.param));
                          });
+
+// ------------------------------------------------- bare vs per-chunk walk
+
+enum class stop_kind { cancel, body_throw };
+
+// What one loop left behind: its iterations and the counter deltas both
+// walks must agree on.
+struct walk_totals {
+  std::int64_t executed = 0;
+  std::int64_t skipped = 0;
+  std::uint64_t chunks_run = 0;
+  std::uint64_t cancelled_chunks = 0;
+  std::uint64_t exceptions_caught = 0;
+};
+
+// Runs one loop whose stop (a cancel, or a body throw) lands mid-way
+// through the first reservation, with event tracing on or off. Events on
+// sends every reservation through run_chunk; off, through the bare walk.
+walk_totals run_walk(rt::runtime& rt, policy pol, stop_kind kind,
+                     bool events, std::int64_t n, std::int64_t grain) {
+  // Inside the first reservation at any P: a range reservation takes
+  // max(grain, remaining / 8) iterations, and each of the four hybrid
+  // partitions spans n / 4.
+  constexpr std::int64_t kStopAt = 40;
+  std::atomic<bool> cancel{false};
+  std::atomic<std::int64_t> executed{0};
+  if (events) rt.tel().enable_events();
+  const telemetry::counter_set before = rt.tel().totals();
+  auto ctx = drive(
+      rt, pol, n,
+      [&](std::int64_t lo, std::int64_t hi) {
+        executed.fetch_add(hi - lo, std::memory_order_relaxed);
+        if (lo <= kStopAt && kStopAt < hi) {
+          if (kind == stop_kind::body_throw) throw std::runtime_error("mid");
+          cancel.store(true, std::memory_order_relaxed);
+        }
+      },
+      grain, kind == stop_kind::cancel ? &cancel : nullptr);
+  const telemetry::counter_set d = rt.tel().totals() - before;
+  if (events) {
+    rt.tel().disable_events();
+    rt.tel().drain_events();
+  }
+  EXPECT_TRUE(ctx->finished());
+  if (kind == stop_kind::body_throw) {
+    EXPECT_THROW(ctx->rethrow_if_failed(), std::runtime_error);
+  } else {
+    EXPECT_EQ(ctx->stop.load(), sched::loop_ctx::kCancelled);
+  }
+  return {executed.load(), ctx->skipped.load(), d.chunks_run,
+          d.cancelled_chunks, d.exceptions_caught};
+}
+
+struct walk_case {
+  policy pol;
+  stop_kind kind;
+};
+
+class WalkAgreement : public ::testing::TestWithParam<walk_case> {};
+
+// One worker makes a loop deterministic, so the two walks must agree
+// exactly. Grain 3 over an n that is not a multiple of it leaves short
+// chunks at reservation ends, which the bare walk counts per reservation.
+TEST_P(WalkAgreement, BareAndPerChunkWalksGiveTheSameTotals) {
+  rt::runtime rt(1);
+  constexpr std::int64_t kN = 4099;
+  constexpr std::int64_t kGrain = 3;
+  const walk_case c = GetParam();
+  const walk_totals bare = run_walk(rt, c.pol, c.kind, false, kN, kGrain);
+  const walk_totals walked = run_walk(rt, c.pol, c.kind, true, kN, kGrain);
+  for (const walk_totals& t : {bare, walked}) {
+    EXPECT_EQ(t.executed + t.skipped, kN);
+    EXPECT_GT(t.skipped, 0);
+    EXPECT_GT(t.cancelled_chunks, 0u);
+    EXPECT_GE(t.chunks_run, static_cast<std::uint64_t>(kN / kGrain));
+    EXPECT_EQ(t.exceptions_caught, c.kind == stop_kind::body_throw ? 1u : 0u);
+  }
+  EXPECT_EQ(bare.executed, walked.executed);
+  EXPECT_EQ(bare.skipped, walked.skipped);
+  EXPECT_EQ(bare.chunks_run, walked.chunks_run);
+  EXPECT_EQ(bare.cancelled_chunks, walked.cancelled_chunks);
+  EXPECT_EQ(bare.exceptions_caught, walked.exceptions_caught);
+}
+
+// Four workers: who runs what varies, but at grain 1 every iteration is
+// one chunk, so either walk counts N chunks, and exactly the skipped ones
+// as cancelled.
+TEST_P(WalkAgreement, GrainOneCountsEveryIterationAsOneChunk) {
+  rt::runtime rt(kWorkers);
+  constexpr std::int64_t kN = 4096;
+  const walk_case c = GetParam();
+  for (const bool events : {false, true}) {
+    const walk_totals t = run_walk(rt, c.pol, c.kind, events, kN, 1);
+    EXPECT_EQ(t.executed + t.skipped, kN) << "events " << events;
+    EXPECT_EQ(t.chunks_run, static_cast<std::uint64_t>(kN))
+        << "events " << events;
+    EXPECT_EQ(t.cancelled_chunks, static_cast<std::uint64_t>(t.skipped))
+        << "events " << events;
+    EXPECT_EQ(t.exceptions_caught, c.kind == stop_kind::body_throw ? 1u : 0u)
+        << "events " << events;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Walks, WalkAgreement,
+    ::testing::Values(walk_case{policy::dynamic_ws, stop_kind::cancel},
+                      walk_case{policy::dynamic_ws, stop_kind::body_throw},
+                      walk_case{policy::hybrid, stop_kind::cancel},
+                      walk_case{policy::hybrid, stop_kind::body_throw}),
+    [](const auto& info) {
+      return std::string(policy_name(info.param.pol)) +
+             (info.param.kind == stop_kind::cancel ? "_cancel" : "_throw");
+    });
+
+#ifndef HLS_TELEMETRY_NO_EVENTS
+// Events switched on between two loops: the first loop ran bare, and the
+// second emits exactly one chunk_span per chunk, covering every iteration
+// once.
+TEST(WalkSwitch, EnablingEventsBetweenLoopsTracesEveryChunkOfTheNext) {
+  rt::runtime rt(kWorkers);
+  constexpr std::int64_t kN = 2048;
+  const auto noop = [](std::int64_t, std::int64_t) {};
+  parallel_for(rt, 0, kN, policy::dynamic_ws, noop, fine_options());
+  rt.tel().enable_events();
+  rt.tel().drain_events();
+  const std::uint64_t chunks_before = rt.tel().totals().chunks_run;
+  parallel_for(rt, 0, kN, policy::dynamic_ws, noop, fine_options());
+  const std::uint64_t chunks = rt.tel().totals().chunks_run - chunks_before;
+  rt.tel().disable_events();
+  std::vector<int> covered(kN, 0);
+  std::uint64_t spans = 0;
+  for (const telemetry::worker_event& e : rt.tel().drain_events()) {
+    if (e.ev.kind != telemetry::event_kind::chunk_span) continue;
+    ++spans;
+    for (std::int64_t i = e.ev.a; i < e.ev.b; ++i) {
+      ++covered[static_cast<std::size_t>(i)];
+    }
+  }
+  EXPECT_EQ(chunks, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(spans, chunks);
+  for (std::int64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(covered[static_cast<std::size_t>(i)], 1) << "iteration " << i;
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace hls
