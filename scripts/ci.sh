@@ -53,7 +53,7 @@ if [ "${HLS_VERIFY_DEEP:-0}" = "1" ]; then
     "--model=parking --bound=-1"
     "--model=parking-backoff --bound=4"
     "--model=loop-retire --bound=-1"
-    "--model=deque-broken-nogenbump --bound=3"
+    "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
     "--model=range-depth-broken-nodrain --bound=3"
@@ -74,7 +74,7 @@ else
     "--model=parking --bound=3"
     "--model=parking-backoff --bound=3"
     "--model=loop-retire --bound=3"
-    "--model=deque-broken-nogenbump --bound=3"
+    "--model=deque-broken-nolastcas --bound=3"
     "--model=range_slot-broken-nodrain --bound=3"
     "--model=range_word-broken-norecheck --bound=3"
     "--model=range-depth-broken-nodrain --bound=3"
@@ -104,8 +104,8 @@ for b in build/bench/*; do
   [ -f "$b" ] && [ -x "$b" ] && "$b"
 done
 
-# Bench smoke: the runtime-primitive microbenches (wake latency, batched
-# steal throughput, deque/claim ops) must run in --json mode and produce a
+# Bench smoke: the runtime-primitive microbenches (wake latency,
+# deque/claim ops, span overhead) must run in --json mode and produce a
 # single valid JSON document, archived for cross-run comparison. The
 # archive is a per-benchmark median of three runs: the dispatch and wake
 # microbenches are microsecond-scale and sensitive to scheduler noise,
@@ -129,7 +129,6 @@ python3 - <<'EOF'
 import json
 names = [b["name"] for b in json.load(open("build/BENCH_rt_primitives.json"))["benchmarks"]]
 assert any("BM_WakeLatency" in n for n in names), names
-assert any("BM_BatchSteal" in n for n in names), names
 assert any("BM_SpanOverhead" in n for n in names), names
 assert any("BM_SpanOverhead/huge" in n for n in names), names
 EOF

@@ -6,7 +6,10 @@ Two archive shapes are understood:
 
   gbench  google-benchmark --json output (BENCH_rt_primitives.json):
           one entry per benchmark name, metric = real_time, lower is
-          better.
+          better. Wall-clock times only compare on like hosts, so the
+          two archives' `context` must agree on the host fingerprint
+          (num_cpus, library_build_type); on a mismatch the gate fails
+          and names each differing field instead of comparing times.
   fig1    JSON-lines table rows (BENCH_fig1_micro.json): one row per
           (section, scheme), metrics = the numeric speedup columns
           (P=1..P=32, Ts/T1), higher is better. These come from the
@@ -21,6 +24,10 @@ Usage:
   HLS_PERF_BASELINE_UPDATE=1   rewrite the baseline from --current and
                                exit 0 (commit the result)
 
+A gbench fingerprint mismatch fails the gate: re-anchor the baseline on
+the host that runs the gate (HLS_PERF_BASELINE_UPDATE=1 from a build of
+the commit the baseline should describe).
+
 A benchmark present in the baseline but missing from the current run
 fails the gate (silent coverage loss reads as a pass otherwise); new
 benchmarks only note themselves until the baseline is regenerated.
@@ -31,6 +38,28 @@ import json
 import os
 import shutil
 import sys
+
+
+# google-benchmark context fields that must match between a gbench
+# baseline and the current run: the core count the multi-worker benches
+# scale with, and the benchmark library's own build type.
+FINGERPRINT_FIELDS = ("num_cpus", "library_build_type")
+
+
+def gbench_fingerprint(path):
+    with open(path) as f:
+        ctx = json.load(f).get("context", {})
+    return {k: ctx.get(k) for k in FINGERPRINT_FIELDS}
+
+
+def fingerprint_mismatches(base_path, cur_path):
+    """Lines naming each fingerprint field that differs (a field missing
+    from either archive counts as differing)."""
+    base = gbench_fingerprint(base_path)
+    cur = gbench_fingerprint(cur_path)
+    return [f"{k}: baseline={base[k]!r} current={cur[k]!r}"
+            for k in FINGERPRINT_FIELDS
+            if base[k] is None or cur[k] is None or base[k] != cur[k]]
 
 
 def load_gbench(path):
@@ -86,6 +115,19 @@ def main():
             file=sys.stderr,
         )
         return 1
+
+    if args.format == "gbench":
+        mismatches = fingerprint_mismatches(args.baseline, args.current)
+        if mismatches:
+            print(
+                f"perf gate FAILED: host fingerprint of {args.current} does "
+                f"not match {args.baseline}; times are not comparable:\n  "
+                + "\n  ".join(mismatches)
+                + "\nre-anchor the baseline on this host with "
+                "HLS_PERF_BASELINE_UPDATE=1",
+                file=sys.stderr,
+            )
+            return 1
 
     load = load_gbench if args.format == "gbench" else load_fig1
     # gbench metrics are times (lower is better); fig1 rows are speedups.

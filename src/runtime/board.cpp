@@ -6,7 +6,7 @@
 
 namespace hls::rt {
 
-int board::post(std::shared_ptr<loop_record> rec, std::uint32_t poster) {
+int board::post(std::shared_ptr<loop_record> rec, std::uint32_t) {
   std::lock_guard<std::mutex> lk(mu_);
   for (int s = 0; s < kSlots; ++s) {
     if (slots_[s].keeper == nullptr) {
@@ -14,9 +14,6 @@ int board::post(std::shared_ptr<loop_record> rec, std::uint32_t poster) {
       // release publishes the record's fields to visitors' confirming
       // ptr re-read (visit()/request_rescue()).
       slots_[s].ptr.store(slots_[s].keeper.get(), std::memory_order_release);
-      if (poster != kNoPoster) {
-        poster_.store(poster, std::memory_order_relaxed);
-      }
       return s;
     }
   }
@@ -38,16 +35,6 @@ void board::clear(int s) {
   }
   std::lock_guard<std::mutex> lk(mu_);
   slots_[s].keeper.reset();
-  // Drop the affinity hint once the board drains, so thieves stop paying a
-  // probe for a loop that no longer exists.
-  bool open = false;
-  for (int i = 0; i < kSlots; ++i) {
-    if (slots_[i].keeper != nullptr) {
-      open = true;
-      break;
-    }
-  }
-  if (!open) poster_.store(kNoPoster, std::memory_order_relaxed);
 }
 
 bool board::visit(worker& w) {

@@ -62,16 +62,14 @@ class board {
   board(const board&) = delete;
   board& operator=(const board&) = delete;
 
-  // "No poster" value for poster_hint().
-  static constexpr std::uint32_t kNoPoster = 0xffffffffu;
-
   // Publishes a loop; returns the slot to pass to clear(), or -1 when all
   // slots are occupied (deep help-first nesting). An unposted loop is still
   // correct: the posting worker completes it single-handedly and thieves
   // can still split the spans it publishes through ordinary range
-  // steals; only board-mediated arrival is lost. `poster` (a worker id)
-  // records who posted, feeding the thieves' victim-affinity heuristic.
-  int post(std::shared_ptr<loop_record> rec, std::uint32_t poster = kNoPoster);
+  // steals; only board-mediated arrival is lost. The unnamed second
+  // parameter is ignored; it keeps loopbench's ladder, which passes a
+  // poster id, compiling.
+  int post(std::shared_ptr<loop_record> rec, std::uint32_t = 0);
 
   // Unpublishes the slot and blocks until in-flight visitors leave it.
   // Must only be called after the loop has finished (visitors of a
@@ -90,15 +88,6 @@ class board {
   // with clear().
   void request_rescue() noexcept;
 
-  // The worker id of the most recent post, or kNoPoster once the board
-  // drains. A thief probes this worker right after its last successful
-  // victim: the poster's range slots hold the open loop's spans, so it is
-  // the best-informed guess on the whole machine. Racy and advisory — a
-  // stale hint costs one extra probe, nothing more.
-  std::uint32_t poster_hint() const noexcept {
-    return poster_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct slot {
     // Dekker pair between visit's (readers++; re-read ptr) and clear's
@@ -114,7 +103,6 @@ class board {
 
   std::mutex mu_;  // post/clear bookkeeping only
   slot slots_[kSlots];
-  std::atomic<std::uint32_t> poster_{kNoPoster};
 };
 
 }  // namespace hls::rt

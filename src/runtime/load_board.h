@@ -1,5 +1,11 @@
 // Per-worker load advertisement: a cacheline-striped board of "how much
-// work do I have right now" hints feeding victim selection.
+// work do I have right now" hints that once fed victim selection.
+//
+// Retired: the runtime steals from uniformly random victims and neither
+// builds nor writes a load_board, and src/CMakeLists.txt does not compile
+// this pair. It stays only because loopbench/CMakeLists.txt lists
+// load_board.cpp among its sources; delete both files when loopbench next
+// changes.
 //
 // Each worker owns one padded entry and publishes two numbers with plain
 // relaxed stores at its work boundaries: its deque depth (after push /

@@ -88,8 +88,7 @@ runtime::runtime(std::uint32_t num_workers, std::uint64_t seed)
 runtime::runtime(const runtime_options& opt)
     : opt_(checked_options(opt)),
       tel_(opt_.num_workers),
-      parking_(tel_.num_workers()),
-      loads_(tel_.num_workers()) {
+      parking_(tel_.num_workers()) {
   const std::uint32_t requested = opt_.num_workers;
   std::uint64_t sm = opt_.seed;
   workers_.reserve(requested);
@@ -190,8 +189,8 @@ void runtime::notify_work() noexcept {
   // bottom_ / board ptr stores) before the waiter scan, pairing with
   // prepare_park's fence in idle_park. Waking exactly one worker avoids
   // the old notify_all thundering herd; each further unit of work sends
-  // its own wake (push, post, batch-steal deposit), so wakeups escalate
-  // exactly when work outpaces them.
+  // its own wake (push, post), so wakeups escalate exactly when work
+  // outpaces them.
   if (parking_.unpark_one()) {
     worker* w = tls_worker;
     if (w != nullptr && &w->rt() == this) {

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "runtime/board.h"
-#include "runtime/load_board.h"
 #include "runtime/parking.h"
 #include "runtime/worker.h"
 #include "telemetry/registry.h"
@@ -150,10 +149,9 @@ class runtime {
   // one when spawn failures shrank the team).
   const runtime_options& options() const noexcept { return opt_; }
 
-  // Wakes exactly one parked worker (the new-work edge: pushes, board
-  // posts, batch-steal surpluses). Escalation to more workers happens by
-  // chaining — each unit of published work sends one wake, and a thief
-  // that deposits surplus tasks sends another — not by waking the herd.
+  // Wakes exactly one parked worker (the new-work edge: pushes and board
+  // posts). Escalation to more workers happens by chaining — each unit of
+  // published work sends one wake — not by waking the herd.
   void notify_work() noexcept;
 
   // Wakes every parked worker. Called on completion edges (a loop's last
@@ -225,11 +223,6 @@ class runtime {
   // The parking subsystem (exposed for tests and diagnostics).
   parking_lot& parking() noexcept { return parking_; }
 
-  // The per-worker load board (advisory deque-depth / span-width hints
-  // feeding victim selection).
-  load_board& loads() noexcept { return loads_; }
-  const load_board& loads() const noexcept { return loads_; }
-
   bool stopping() const noexcept {
     return stop_.load(std::memory_order_acquire);
   }
@@ -272,7 +265,6 @@ class runtime {
   runtime_options opt_;      // validated copy
   telemetry::registry tel_;  // before workers_: workers reference slots
   parking_lot parking_;
-  load_board loads_;
   std::vector<std::unique_ptr<worker>> workers_;
   std::vector<std::thread> threads_;
   board board_;

@@ -29,12 +29,7 @@ worker::worker(runtime& rt, std::uint32_t id, std::uint64_t seed,
 
 void worker::push(task* t) {
   deque_.push(t);
-  advertise_deque();
   rt_.notify_work();
-}
-
-void worker::advertise_deque() noexcept {
-  rt_.loads().publish_deque(id_, deque_.size_estimate());
 }
 
 range_slot* worker::open_span(void* ctx, range_span_runner run,
@@ -43,19 +38,11 @@ range_slot* worker::open_span(void* ctx, range_span_runner run,
   if (depth_ == kMaxSpanDepth) return nullptr;
   range_slot& slot = ranges_[depth_];
   if (!slot.open(ctx, run, lo, hi, grain)) return nullptr;
-  widths_[depth_] =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-  rt_.loads().publish_span(id_, widths_[depth_++]);
+  ++depth_;
   return &slot;
 }
 
-bool worker::close_span() noexcept {
-  const bool split = ranges_[--depth_].close();
-  // An inner close leaves the enclosing span open and stealable, so the
-  // board keeps advertising it rather than reading idle.
-  rt_.loads().publish_span(id_, depth_ == 0 ? 0 : widths_[depth_ - 1]);
-  return split;
-}
+bool worker::close_span() noexcept { return ranges_[--depth_].close(); }
 
 task* worker::pop_local() {
   if (faultsim::injector* c = rt_.chaos();
@@ -106,9 +93,8 @@ bool worker::try_steal_round() {
   const std::uint64_t t0 = tel_.now();
   std::uint64_t probes = 0;
 
-  // Probes one victim; on success a batch (up to half the victim's visible
-  // tasks) lands in the local deque and the oldest stolen task runs.
-  const auto probe = [&](std::uint32_t v, bool affinity) -> bool {
+  // Probes one victim; on success the stolen range or task runs here.
+  const auto probe = [&](std::uint32_t v) -> bool {
     ++probes;
     if (chaos != nullptr && chaos->fire(faultsim::hook::steal_probe, id_)) {
       // Forced empty probe: counts as a miss, the victim keeps its task.
@@ -133,69 +119,38 @@ bool worker::try_steal_round() {
         telemetry::bump(tel_.counters.steal_probes, probes);
         telemetry::bump(tel_.counters.range_steals);
         telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-        if (affinity) telemetry::bump(tel_.counters.affinity_hits);
         tel_.steal_probe_hist.record(probes);
         if (tel_.events_on()) {
           tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
                      s.hi - s.lo, telemetry::event_kind::range_steal});
         }
-        last_victim_ = v;
         s.run(*this, s.ctx, s.lo, s.hi);
         return true;
       }
     }
-    std::uint32_t k = 0;
-    task* t = victim.deque().steal_batch(deque_, &k);
+    task* t = victim.deque().steal();
     if (t == nullptr) return false;
     telemetry::bump(tel_.counters.steal_probes, probes);
     telemetry::bump(tel_.counters.steals);
     telemetry::bump(tel_.counters.steal_latency_ns, tel_.now() - t0);
-    telemetry::bump(tel_.counters.batch_steal_tasks, k);
-    if (affinity) telemetry::bump(tel_.counters.affinity_hits);
     tel_.steal_probe_hist.record(probes);
     if (tel_.events_on()) {
       tel_.emit({tel_.now(), 0, static_cast<std::int64_t>(v),
                  static_cast<std::int64_t>(probes),
                  telemetry::event_kind::steal});
     }
-    last_victim_ = v;
-    advertise_deque();
-    // Surplus tasks just landed in this deque; chain a wake so another
-    // idle worker picks them up while this one runs the first.
-    if (k > 1) rt_.notify_work();
     run(t);
     return true;
   };
 
-  // Affinity order: last successful victim first, then the board's poster
-  // hint (the worker whose deque feeds the open loop), then random victims.
-  std::uint32_t tried = kNoVictim;
-  if (last_victim_ != kNoVictim && last_victim_ != id_ && last_victim_ < p) {
-    tried = last_victim_;
-    if (probe(last_victim_, true)) return true;
-    last_victim_ = kNoVictim;  // went dry; forget it
-  }
-  const std::uint32_t hint = rt_.loop_board().poster_hint();
-  if (hint != board::kNoPoster && hint != id_ && hint != tried && hint < p) {
-    if (probe(hint, true)) return true;
-  }
-  // Load-board pick: the most-loaded advertised victim, before rolling the
-  // dice. The board is advisory (relaxed stores at the owners' work
-  // boundaries), so a hit is counted only when the probe actually lands.
-  const std::uint32_t busiest = rt_.loads().busiest(id_);
-  if (busiest < p && busiest != tried && busiest != hint) {
-    if (probe(busiest, false)) {
-      telemetry::bump(tel_.counters.load_board_hits);
-      return true;
-    }
-  }
-  // Up to P random victim probes (standard randomized stealing; the round
-  // bound keeps the idle loop responsive to board posts).
+  // Up to P victims chosen uniformly at random (randomized work stealing,
+  // the model behind the paper's Corollary 6; the round bound keeps the
+  // idle loop responsive to board posts).
   for (std::uint32_t attempt = 0; attempt < p; ++attempt) {
     const auto victim =
         static_cast<std::uint32_t>(rng_.next_below(p - 1));
     const std::uint32_t v = victim >= id_ ? victim + 1 : victim;
-    if (probe(v, false)) return true;
+    if (probe(v)) return true;
   }
   telemetry::bump(tel_.counters.steal_probes, probes);
   tel_.steal_probe_hist.record(probes);
@@ -207,10 +162,6 @@ bool worker::try_progress() {
     run(t);
     return true;
   }
-  // Empty pop: refresh the load board so a stale positive from earlier
-  // pushes stops attracting probes (pops themselves don't republish — the
-  // hot path stays store-free).
-  advertise_deque();
   if (rt_.loop_board().visit(*this)) {
     telemetry::bump(tel_.counters.board_participations);
     return true;

@@ -54,15 +54,13 @@ class worker {
   range_slot& range(std::uint32_t d) noexcept { return ranges_[d]; }
 
   // Owner thread only. Publishes [lo, hi) in the slot at the next free
-  // depth, advertises its width on the load board and returns it; nullptr
-  // past kMaxSpanDepth (or for a span the slot rejects). Every successful
-  // open is paired with close_span().
+  // depth and returns it; nullptr past kMaxSpanDepth (or for a span the
+  // slot rejects). Every successful open is paired with close_span().
   range_slot* open_span(void* ctx, range_span_runner run, std::int64_t lo,
                         std::int64_t hi, std::int64_t grain) noexcept;
 
   // Owner thread only. Closes the innermost open span (draining its
-  // thieves), re-advertises the width of the enclosing open span (0 when
-  // none is left) and returns true when a steal split it.
+  // thieves) and returns true when a steal split it.
   bool close_span() noexcept;
 
   // This worker's telemetry state: counters, histograms, event ring.
@@ -142,33 +140,18 @@ class worker {
   static constexpr int kBackoffAfter = 2;
   static constexpr int kMaxBackoffLevel = 7;  // 2us << 7 = 256us cap input
 
-  // One round of steal attempts: affinity probes first (last successful
-  // victim, then the board's poster hint), then the load board's
-  // most-loaded advertisement, then random victims. Successful probes use
-  // batched stealing (ws_deque::steal_batch).
+  // One round of steal attempts: up to P victims chosen uniformly at
+  // random, each probed for its range slots (shallowest depth first), then
+  // for one task from its deque.
   bool try_steal_round();
-
-  // Owner-side load-board publication of the current deque depth
-  // (relaxed, advisory).
-  void advertise_deque() noexcept;
-
-  // "No remembered victim" sentinel for last_victim_.
-  static constexpr std::uint32_t kNoVictim = 0xffffffffu;
 
   runtime& rt_;
   std::uint32_t id_;
   ws_deque deque_;
   std::array<range_slot, kMaxSpanDepth> ranges_;
   std::uint32_t depth_ = 0;  // open spans (owner thread only)
-  std::array<std::uint64_t, kMaxSpanDepth> widths_{};  // advertised per depth
   xoshiro256ss rng_;
   telemetry::worker_state& tel_;
-
-  // Victim affinity: the last victim this worker stole from successfully.
-  // Work distribution is bursty — a victim with surplus once likely still
-  // has surplus — so the next round probes it before rolling the dice.
-  // Reset to kNoVictim when the remembered victim comes up empty.
-  std::uint32_t last_victim_ = kNoVictim;
 
   // Heartbeat words, padded so the watchdog's cross-thread reads never
   // false-share with the worker's hot state.

@@ -276,7 +276,7 @@ loop_result parallel_for(rt::runtime& rt, std::int64_t begin, std::int64_t end,
     telemetry::bump(me.tel().counters.faults_injected);
     slot = -1;
   } else {
-    slot = rt.loop_board().post(rec, me.id());
+    slot = rt.loop_board().post(rec);
   }
   rt.notify_work();
   probe.setup_done();

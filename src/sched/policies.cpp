@@ -371,8 +371,8 @@ void hybrid_record::execute_partition(rt::worker& w, std::uint64_t r) {
   // ...while the claiming worker finishes its local share depth-first
   // before attempting the next claim, as continuation stealing would. The
   // span itself pushes no tasks; the drain runs whatever the partition's
-  // bodies left on the local deque (task_group spawns, or surplus a
-  // nested loop's wait batch-stole) before the next claim.
+  // bodies left on the local deque (task_group spawns) before the next
+  // claim.
   w.drain_local();
   if (timed) {
     tel.emit({t0, tel.now() - t0, static_cast<std::int64_t>(r), 0,

@@ -35,9 +35,8 @@
   X(idle_sleep_ns, "time spent blocked in idle parks, ns")               \
   X(wakes_sent, "targeted unparks issued by notify_work")                \
   X(wakes_spurious, "wakes that found no visible work")                  \
-  X(batch_steal_tasks, "tasks transferred by batched steals")            \
-  X(affinity_hits, "steals won on an affinity probe (last victim "       \
-                   "or board poster)")                                   \
+  X(affinity_hits, "always 0: victim affinity was deleted; kept until "  \
+                   "loopbench stops reading it")                          \
   X(range_steals, "successful range-slot steals (upper half of a "      \
                   "published span)")                                     \
   X(range_splits, "owner reservation refills on open range slots "      \
@@ -66,8 +65,8 @@
                    "loopbench stops reading it")                          \
   X(handoffs_consumed, "always 0: push handoff was deleted; kept until " \
                        "loopbench stops reading it")                      \
-  X(load_board_hits, "steals won on the load board's busiest-worker "    \
-                     "advertisement")
+  X(load_board_hits, "always 0: the load board was deleted; kept until " \
+                     "loopbench stops reading it")
 
 #define HLS_TELEMETRY_MAX_COUNTERS(X)                                    \
   X(max_claim_seq_len, "longest claim sequence: max consecutive failed " \

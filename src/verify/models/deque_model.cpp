@@ -1,20 +1,21 @@
 // Verification model for the Chase-Lev deque core (runtime/deque_core.h):
-// the owner pushes three tasks and pops until empty while a batch thief
-// runs one steal_batch into its own deque and drains it.
+// the owner pushes three tasks into a two-slot ring (the third push grows
+// it) and pops until empty, while a thief makes two single-task steal()
+// calls.
 //
 // Checked (work conservation / exactly-once): every pushed task is
-// executed — by whichever side — exactly once. This is the property the
-// locked near-empty pop's generation word defends: with the bump disabled
-// (deque_policy_no_gen_bump) there is an interleaving where the thief
-// reads top_ = 0 and slots [0, 2) before its claim CAS, the owner
-// locked-pops two tasks from the bottom (each with advance 0, returning
-// the raw top_ word to 0), and the stale CAS then still commits — the
-// thief re-executes a task the owner already ran and strands the rest
-// (top_ above bottom_). The harness finds that interleaving within a
-// 3-preemption bound and check_final reports the double execution.
+// executed — by whichever side — exactly once. The race that matters is
+// the last element: the owner's pop and a thief's steal both target it,
+// and the top_ CAS must let exactly one of them have it. With that CAS
+// skipped (deque_policy_no_last_cas) there is an interleaving where the
+// thief reads top_ and bottom_ while one task is left, the owner retracts
+// bottom_ and takes the task without a CAS, and the thief's CAS still
+// commits — both sides execute the same task. The harness finds it within
+// a 3-preemption bound and check_final reports the double execution.
 //
-// The scenario is sized so the owner's pops take the near-empty LOCKED
-// path (depth 3 < kStealBatchMax) and the deque never grows (capacity 8).
+// One thief keeps the bound-5 space near a million executions; with two
+// single-steal thieves it is 6.3M. Thief-vs-thief CAS races are the same
+// top_ CAS and are stressed on real cores by tests/deque_test.cpp.
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -39,8 +40,7 @@ class deque_model_t final : public model {
   using deque_t = rt::ws_deque_core<int*, verify_traits, Policy>;
 
   struct state {
-    deque_t owner_q{8};
-    deque_t thief_q{8};
+    deque_t q{2};
     // Executions per task value; plain ints are fine under the cooperative
     // scheduler.
     std::uint32_t executed[kTasks + 1] = {};
@@ -58,18 +58,13 @@ class deque_model_t final : public model {
     state& s = *st_;
     if (t == 0) {
       // Owner: push everything, then drain from the bottom.
-      for (int v = 1; v <= kTasks; ++v) s.owner_q.push(task_ptr(v));
-      while (int* p = s.owner_q.pop()) exec(p);
+      for (int v = 1; v <= kTasks; ++v) s.q.push(task_ptr(v));
+      while (int* p = s.q.pop()) exec(p);
     } else {
-      // Thief: one batch steal into its own deque, then drain it.
-      std::uint32_t transferred = 0;
-      if (int* p = s.owner_q.steal_batch(s.thief_q, &transferred)) {
-        exec(p);
-        check(transferred >= 1, "steal_batch returned a task but counted 0");
-      } else {
-        check(transferred == 0, "failed steal_batch counted transfers");
+      // Thief: two single-task steals.
+      for (int k = 0; k < 2; ++k) {
+        if (int* p = s.q.steal()) exec(p);
       }
-      while (int* p = s.thief_q.pop()) exec(p);
     }
   }
 
@@ -97,10 +92,10 @@ class deque_model_t final : public model {
 
 }  // namespace
 
-std::unique_ptr<model> make_deque_model(bool broken_no_gen_bump) {
-  if (broken_no_gen_bump) {
-    return std::make_unique<deque_model_t<rt::deque_policy_no_gen_bump>>(
-        "deque-broken-nogenbump");
+std::unique_ptr<model> make_deque_model(bool broken_no_last_cas) {
+  if (broken_no_last_cas) {
+    return std::make_unique<deque_model_t<rt::deque_policy_no_last_cas>>(
+        "deque-broken-nolastcas");
   }
   return std::make_unique<deque_model_t<rt::deque_policy_default>>("deque");
 }

@@ -1,8 +1,8 @@
 // The handoff mailbox protocol core (claim/publish/take cycle,
 // exactly-once under contention), kept only for loopbench's wake-latency
-// ladder; the parking lot's targeted unpark_at edge; the load board's
-// advisory scores and span advertisement; and the default wake path: a
-// wide span wakes a parked peer, which joins through a range steal.
+// ladder; the parking lot's targeted unpark_at edge; and the default wake
+// path: a wide span wakes a parked peer, which joins through a range
+// steal.
 #include "runtime/handoff.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "runtime/load_board.h"
 #include "runtime/parking.h"
 #include "runtime/runtime.h"
 #include "sched/loop.h"
@@ -124,53 +123,6 @@ TEST(ParkingTargeted, FailedUnparkAtLetsTheDonorReclaim) {
   ASSERT_TRUE(box.try_take(back));  // donor wins the reclaim
   EXPECT_EQ(back.lo, 7);
   EXPECT_FALSE(box.full());
-}
-
-// ---- load board -------------------------------------------------------
-
-TEST(LoadBoard, ScoreAndBusiestAreAdvisory) {
-  load_board lb(4);
-  EXPECT_EQ(lb.busiest(0), 4u);  // all idle: n sentinel
-  lb.publish_deque(1, 3);
-  lb.publish_span(2, 1 << 10);
-  EXPECT_EQ(lb.deque_depth(1), 3u);
-  EXPECT_EQ(lb.span_width(2), 1u << 10);
-  // Depth dominates: 3 queued tasks outscore a 1k-wide span.
-  EXPECT_GT(lb.score(1), lb.score(2));
-  EXPECT_EQ(lb.busiest(0), 1u);
-  EXPECT_EQ(lb.busiest(1), 2u);  // self is skipped
-  lb.publish_deque(1, 0);
-  EXPECT_EQ(lb.busiest(0), 2u);
-  lb.publish_span(2, 0);
-  EXPECT_EQ(lb.busiest(0), 4u);
-}
-
-// Inner close re-advertises the enclosing span: after a loop nested in an
-// outer dynamic_ws chunk body returns, the outer span is still open and
-// stealable, so the board must keep showing a nonzero width for this
-// worker rather than reading it as idle. One worker keeps every chunk on
-// the outer span's owner.
-TEST(LoadBoard, InnerSpanCloseReadvertisesTheOuterSpan) {
-  runtime rt(1);
-  loop_options opt;
-  opt.grain = 1;
-  std::vector<std::uint64_t> widths;
-  const loop_result res = for_each(
-      rt, 0, 8, policy::dynamic_ws,
-      [&](std::int64_t) {
-        const loop_result inner =
-            for_each(rt, 0, 64, policy::dynamic_ws, [](std::int64_t) {}, opt);
-        EXPECT_TRUE(inner.ok());
-        widths.push_back(rt.loads().span_width(rt.current_worker().id()));
-      },
-      opt);
-  ASSERT_TRUE(res.ok());
-  ASSERT_EQ(widths.size(), 8u);
-  for (std::size_t i = 0; i < widths.size(); ++i) {
-    EXPECT_GT(widths[i], 0u) << "outer iteration " << i;
-  }
-  // Closing the outer span leaves nothing advertised.
-  EXPECT_EQ(rt.loads().span_width(0), 0u);
 }
 
 // ---- the default wake path ------------------------------------------

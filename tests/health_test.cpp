@@ -148,7 +148,7 @@ TEST(Watchdog, ManualScanClassifiesStallArmsRescueAndRecovers) {
                                                /*trace=*/nullptr);
   auto rec = std::make_shared<sched::hybrid_record>(ctx, 4);
   ASSERT_TRUE(rec->partitions().try_claim(0));
-  const int slot = rt.loop_board().post(rec, 0);
+  const int slot = rt.loop_board().post(rec);
   ASSERT_GE(slot, 0);
 
   std::this_thread::sleep_for(1ms);  // silence >= budget, loop now open

@@ -270,12 +270,12 @@ TEST(RuntimeWake, ChaosSeededParkingRunsComplete) {
   EXPECT_GT(rt.tel().totals().faults_injected, 0u);
 }
 
-// Batched steals feed the telemetry counters: worker 0 spawns a burst and
-// then refuses to help (spin-yield, no popping), so every task must reach
-// the other workers through steals — and with a deep victim deque those
-// steals move multiple tasks per claim.
-TEST(RuntimeWake, BatchStealsMoveSurplusTasks) {
-  runtime rt(4);
+// Single steals carry a burst: worker 0 spawns tasks and then refuses to
+// help (spin-yield, no popping), so every task must leave its deque
+// through a peer's steal(), one task per successful steal.
+TEST(RuntimeWake, BurstTasksReachPeersThroughSingleSteals) {
+  constexpr std::uint32_t kWorkers = 4;
+  runtime rt(kWorkers);
   task_group tg(rt);
   std::atomic<int> ran{0};
   constexpr int kTasks = 512;
@@ -287,15 +287,16 @@ TEST(RuntimeWake, BatchStealsMoveSurplusTasks) {
   }
   tg.wait();
   EXPECT_EQ(ran.load(), kTasks);
-  const telemetry::counter_set total = rt.tel().totals();
-  EXPECT_GT(total.steals, 0u);
-  // Multi-task batches actually happened: more tasks moved than there were
-  // successful claims.
-  EXPECT_GT(total.batch_steal_tasks, total.steals);
-  // And the victim-affinity fast path fired: after one successful steal
-  // from worker 0 the next round probes it first, while its deque is still
-  // deep enough to hit.
-  EXPECT_GT(total.affinity_hits, 0u);
+  std::uint64_t steals = 0;
+  std::uint64_t run_off_worker0 = 0;
+  for (std::uint32_t i = 0; i < kWorkers; ++i) {
+    const telemetry::counter_set s = rt.worker_at(i).stats();
+    steals += s.steals;
+    if (i != 0) run_off_worker0 += s.tasks_run;
+  }
+  EXPECT_EQ(rt.worker_at(0).stats().tasks_run, 0u);
+  EXPECT_EQ(run_off_worker0, static_cast<std::uint64_t>(kTasks));
+  EXPECT_GE(steals, run_off_worker0);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ std::shared_ptr<sched::loop_ctx> drive(
   } else {
     rec = std::make_shared<sched::hybrid_record>(ctx, kWorkers);
   }
-  const int slot = rt.loop_board().post(rec, me.id());
+  const int slot = rt.loop_board().post(rec);
   EXPECT_GE(slot, 0);
   rt.notify_work();
   rec->participate(me);

@@ -139,10 +139,9 @@ void expect_caught_and_replayable(std::unique_ptr<model> fresh_a,
   EXPECT_EQ(again.failure, res.failure);
 }
 
-TEST(VerifyBroken, DequeLockedPopWithoutGenBumpIsCaught) {
-  // Dropping the generation bump reintroduces the locked-pop ABA: a stale
-  // batch claim commits after the owner consumed slots inside it, so a
-  // task double-executes.
+TEST(VerifyBroken, DequeLastPopWithoutCasIsCaught) {
+  // An owner that takes the last element without the top_ CAS races a
+  // thief whose steal CAS still commits: both execute the same task.
   expect_caught_and_replayable(make_deque_model(true), make_deque_model(true),
                                3);
 }

@@ -30,8 +30,8 @@ Checks (docs/verification.md "Static ordering contracts"):
   traits-escape      raw std::atomic / std::mutex / std::condition_variable
                      inside a *_core.h protocol header bypasses the
                      Traits:: seam and makes the protocol invisible to
-                     hls_verify; only allowlisted scopes (the documented
-                     ws_deque_gate test seam) may do so.
+                     hls_verify; only scopes a contract allowlists in
+                     its `escapes` list may do so.
   relaxed-guard      ADVISORY: a relaxed load guarding a release-class
                      commit with no confirming re-read of the guard
                      variable — the shape the Dekker re-read patterns in
